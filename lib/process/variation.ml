@@ -55,7 +55,7 @@ let of_deviates (tech : Technology.t) z =
   in
   { global; locals = Fixed { z; pos = global_deviate_dim }; local_scale = 1.0 }
 
-let next_local t =
+let[@inline] next_local t =
   match t.locals with
   | Stream g -> Rng.gaussian g
   | Fixed f ->
@@ -66,10 +66,10 @@ let next_local t =
     f.pos <- f.pos + 1;
     v
 
-let local_dvth t tech ~width =
+let[@inline] local_dvth t tech ~width =
   t.local_scale *. next_local t *. Technology.sigma_vth_local tech ~width
 
-let local_dbeta t tech ~width =
+let[@inline] local_dbeta t tech ~width =
   t.local_scale *. next_local t *. Technology.sigma_beta_local tech ~width
 
-let local_relative t ~sigma = t.local_scale *. next_local t *. sigma
+let[@inline] local_relative t ~sigma = t.local_scale *. next_local t *. sigma

@@ -148,13 +148,13 @@ let compile_into tech arc c =
   let nut = tech.Technology.subthreshold_n *. ut in
   let inv_2nut = 1.0 /. (2.0 *. nut) in
   let s_fixed = ref 0.0 in
-  Array.iteri
-    (fun i d ->
-      if i <> arc.switching then begin
-        let f = Nsigma_stats.Special.log1p_exp ((vdd -. d.Device.vth) *. inv_2nut) in
-        s_fixed := !s_fixed +. (1.0 /. Float.max (Device.i_factor tech d *. f *. f) 1e-30)
-      end)
-    arc.devices;
+  for i = 0 to Array.length arc.devices - 1 do
+    if i <> arc.switching then begin
+      let d = arc.devices.(i) in
+      let f = Nsigma_stats.Special.log1p_exp ((vdd -. d.Device.vth) *. inv_2nut) in
+      s_fixed := !s_fixed +. (1.0 /. Float.max (Device.i_factor tech d *. f *. f) 1e-30)
+    end
+  done;
   let sw = arc.devices.(arc.switching) in
   let k_opp, vth_opp =
     match arc.opposing with
@@ -218,7 +218,7 @@ let[@inline] nut_of c = c.c_nut
 
 let[@inline] cap_intrinsic_of c = c.c_cap_intrinsic
 
-let drive c ~gate ~travel =
+let[@inline] drive c ~gate ~travel =
   let drop = c.c_vdd -. travel in
   if drop <= 0.0 then 0.0
   else begin

@@ -64,23 +64,25 @@ let default_kernel () =
    integration step: both endpoint values and endpoint slopes of the step
    are known, so the dense output is third-order accurate — the crossing
    does not limit the step size.  Solved by bisection in the step-local
-   coordinate (the bracket is guaranteed: u0 < level <= u1). *)
-let hermite_crossing ~t0 ~dt ~u0 ~u1 ~f0 ~f1 level =
+   coordinate (the bracket is guaranteed: u0 < level <= u1).  Inlined,
+   with the bracket in local float refs, so a crossing allocates
+   nothing. *)
+let[@inline] hermite_crossing ~t0 ~dt ~u0 ~u1 ~f0 ~f1 level =
   if u1 <= u0 then t0 +. dt
   else begin
     let d0 = dt *. f0 and d1 = dt *. f1 in
-    let value s =
-      let s2 = s *. s in
-      let s3 = s2 *. s in
-      (((2.0 *. s3) -. (3.0 *. s2) +. 1.0) *. u0)
-      +. ((s3 -. (2.0 *. s2) +. s) *. d0)
-      +. (((-2.0 *. s3) +. (3.0 *. s2)) *. u1)
-      +. ((s3 -. s2) *. d1)
-    in
     let lo = ref 0.0 and hi = ref 1.0 in
     for _ = 1 to 30 do
-      let mid = 0.5 *. (!lo +. !hi) in
-      if value mid < level then lo := mid else hi := mid
+      let s = 0.5 *. (!lo +. !hi) in
+      let s2 = s *. s in
+      let s3 = s2 *. s in
+      let v =
+        (((2.0 *. s3) -. (3.0 *. s2) +. 1.0) *. u0)
+        +. ((s3 -. (2.0 *. s2) +. s) *. d0)
+        +. (((-2.0 *. s3) +. (3.0 *. s2)) *. u1)
+        +. ((s3 -. s2) *. d1)
+      in
+      if v < level then lo := s else hi := s
     done;
     t0 +. (0.5 *. (!lo +. !hi) *. dt)
   end
@@ -349,10 +351,12 @@ let nominal_delay ?kernel tech arc ~input_slew ~load_cap =
    hoisted through [Arc.drive_settled] / [Arc.set_gate]+[Arc.drive_gated]
    (during the ramp a step's endpoint gate is the next step's start, so
    each RK4 step prepares only two new gate voltages instead of
-   re-deriving four), and all loop state lives in one flat all-float
-   record instead of boxed refs — but every floating-point expression on
-   the value path keeps the reference kernels' exact operation order and
-   grouping, so results are bit-identical (asserted by test_plan). *)
+   re-deriving four), and loop state stays unboxed: in one flat all-float
+   record for RK4, whose [eval] closure shares it, and in local float
+   refs for Fast, which has no closure — but every floating-point
+   expression on the value path keeps the reference kernels' exact
+   operation order and grouping, so results are bit-identical (asserted
+   by test_plan). *)
 
 type sim_scratch = {
   mutable s_t : float;
@@ -361,44 +365,10 @@ type sim_scratch = {
   mutable s_t50 : float;
   mutable s_t80 : float;
   mutable s_prep : float;  (* time whose gate factors [Arc.set_gate] cached *)
-  mutable s_lo : float;  (* bisection bracket for crossing search *)
-  mutable s_hi : float;
 }
 
-(* [hermite_crossing] with the bracket kept in the scratch record; the
-   polynomial is evaluated with the identical expression. *)
-let hermite_crossing_st st ~t0 ~dt ~u0 ~u1 ~f0 ~f1 level =
-  if u1 <= u0 then t0 +. dt
-  else begin
-    let d0 = dt *. f0 and d1 = dt *. f1 in
-    st.s_lo <- 0.0;
-    st.s_hi <- 1.0;
-    for _ = 1 to 30 do
-      let s = 0.5 *. (st.s_lo +. st.s_hi) in
-      let s2 = s *. s in
-      let s3 = s2 *. s in
-      let v =
-        (((2.0 *. s3) -. (3.0 *. s2) +. 1.0) *. u0)
-        +. ((s3 -. (2.0 *. s2) +. s) *. d0)
-        +. (((-2.0 *. s3) +. (3.0 *. s2)) *. u1)
-        +. ((s3 -. s2) *. d1)
-      in
-      if v < level then st.s_lo <- s else st.s_hi <- s
-    done;
-    t0 +. (0.5 *. (st.s_lo +. st.s_hi) *. dt)
-  end
-
 let fresh_scratch () =
-  {
-    s_t = 0.0;
-    s_u = 0.0;
-    s_t20 = nan;
-    s_t50 = nan;
-    s_t80 = nan;
-    s_prep = nan;
-    s_lo = 0.0;
-    s_hi = 1.0;
-  }
+  { s_t = 0.0; s_u = 0.0; s_t20 = nan; s_t50 = nan; s_t80 = nan; s_prep = nan }
 
 let simulate_compiled ?(steps_per_phase = 16) tech c ~input_slew ~load_cap =
   if input_slew <= 0.0 then invalid_arg "Cell_sim.simulate: slew must be positive";
@@ -468,18 +438,28 @@ let simulate_compiled ?(steps_per_phase = 16) tech c ~input_slew ~load_cap =
         (u0 +. (dt /. 6.0 *. (k1 +. (2.0 *. k2) +. (2.0 *. k3) +. k4)))
     in
     if Float.is_nan st.s_t80 && u0 < lvl20 && u1 >= lvl20 then
-      st.s_t80 <- hermite_crossing_st st ~t0 ~dt ~u0 ~u1 ~f0:k1 ~f1:k4 lvl20;
+      st.s_t80 <- hermite_crossing ~t0 ~dt ~u0 ~u1 ~f0:k1 ~f1:k4 lvl20;
     if Float.is_nan st.s_t50 && u0 < lvl50 && u1 >= lvl50 then
-      st.s_t50 <- hermite_crossing_st st ~t0 ~dt ~u0 ~u1 ~f0:k1 ~f1:k4 lvl50;
+      st.s_t50 <- hermite_crossing ~t0 ~dt ~u0 ~u1 ~f0:k1 ~f1:k4 lvl50;
     if Float.is_nan st.s_t20 && u0 < lvl80 && u1 >= lvl80 then
-      st.s_t20 <- hermite_crossing_st st ~t0 ~dt ~u0 ~u1 ~f0:k1 ~f1:k4 lvl80;
+      st.s_t20 <- hermite_crossing ~t0 ~dt ~u0 ~u1 ~f0:k1 ~f1:k4 lvl80;
     st.s_t <- t1;
     st.s_u <- u1
   done;
   Metrics.incr m_rk4_steps ~by:!steps;
   { delay = st.s_t50 -. t50_in; output_slew = (st.s_t20 -. st.s_t80) /. 0.6 }
 
-let simulate_fast_ext_compiled tech c ~input_slew ~load_cap =
+(* Raised by [simulate_fast_compiled ~auto:true] in place of a ramp-
+   limited result, so [run_compiled]'s Auto mode can fall back to RK4
+   without the kernel returning a (result, flag) pair per call. *)
+exception Ramp_limited
+
+(* [pick k a b c] is the [k]-th of the three thresholds (or crossing
+   times) kept in float lets; an indexed float array would be allocated
+   per call. *)
+let[@inline] pick k a b c = if k = 0 then a else if k = 1 then b else c
+
+let simulate_fast_compiled ~auto tech c ~input_slew ~load_cap =
   if input_slew <= 0.0 then
     invalid_arg "Cell_sim.simulate_fast: slew must be positive";
   if load_cap < 0.0 then invalid_arg "Cell_sim.simulate_fast: negative load";
@@ -490,9 +470,8 @@ let simulate_fast_ext_compiled tech c ~input_slew ~load_cap =
   let tau = input_slew in
   let nut = Arc.nut_of c in
   let vth = Arc.vth_sw_of c in
-  let lvls = [| 0.2 *. vdd; 0.5 *. vdd; 0.8 *. vdd |] in
-  let times = [| nan; nan; nan |] in
-  let st = fresh_scratch () in
+  let l20 = 0.2 *. vdd and l50 = 0.5 *. vdd and l80 = 0.8 *. vdd in
+  let t20 = ref nan and t50 = ref nan and t80 = ref nan in
   (* 1. dead zone *)
   let g_on = Float.min vdd (Float.max 0.0 (vth -. (6.0 *. nut))) in
   let t_start = tau *. (g_on /. vdd) in
@@ -502,34 +481,39 @@ let simulate_fast_ext_compiled tech c ~input_slew ~load_cap =
       Float.min (0.15 *. vdd)
         (Arc.drive c ~gate:g_on ~travel:0.0 *. nut *. (tau /. vdd) *. inv_cap)
   in
-  st.s_t <- t_start;
-  st.s_u <- u_start;
+  let t = ref t_start and u = ref u_start in
   let next = ref 0 in
   let ramp_limited = ref false in
   (* 2. ramp-active window *)
   let dt_gate = (tau -. t_start) /. 9.0 in
   let du_max = 0.09 *. vdd in
   let guard = ref 0 in
-  while st.s_t < tau && !next < 3 && !guard < 64 do
+  while !t < tau && !next < 3 && !guard < 64 do
     incr guard;
-    let f0 = Arc.drive c ~gate:(vdd *. (st.s_t /. tau)) ~travel:st.s_u *. inv_cap in
+    let f0 = Arc.drive c ~gate:(vdd *. (!t /. tau)) ~travel:!u *. inv_cap in
     let dt0 = if f0 *. dt_gate > du_max then du_max /. f0 else dt_gate in
-    let dt = Float.min dt0 (tau -. st.s_t) in
-    let t1 = st.s_t +. dt in
+    let dt = Float.min dt0 (tau -. !t) in
+    let t1 = !t +. dt in
     let g1 = vdd *. Float.min 1.0 (t1 /. tau) in
-    let u_pred = Float.min vdd (st.s_u +. (dt *. f0)) in
+    let u_pred = Float.min vdd (!u +. (dt *. f0)) in
     let f1 = Arc.drive c ~gate:g1 ~travel:u_pred *. inv_cap in
-    let u1 = Float.min vdd (st.s_u +. (dt *. 0.5 *. (f0 +. f1))) in
-    while !next < 3 && u1 >= lvls.(!next) do
-      times.(!next) <-
-        hermite_crossing_st st ~t0:st.s_t ~dt ~u0:st.s_u ~u1 ~f0 ~f1 lvls.(!next);
-      if !next = 1 then ramp_limited := true;
+    let u1 = Float.min vdd (!u +. (dt *. 0.5 *. (f0 +. f1))) in
+    while !next < 3 && u1 >= pick !next l20 l50 l80 do
+      let x =
+        hermite_crossing ~t0:!t ~dt ~u0:!u ~u1 ~f0 ~f1 (pick !next l20 l50 l80)
+      in
+      if !next = 0 then t20 := x
+      else if !next = 1 then begin
+        t50 := x;
+        ramp_limited := true
+      end
+      else t80 := x;
       incr next
     done;
-    st.s_t <- t1;
-    st.s_u <- u1
+    t := t1;
+    u := u1
   done;
-  if !next < 3 && st.s_t < tau then begin
+  if !next < 3 && !t < tau then begin
     note_fast_failed ();
     Log.debug "fast ramp stepping did not converge%s"
       (Log.kv
@@ -546,9 +530,9 @@ let simulate_fast_ext_compiled tech c ~input_slew ~load_cap =
   end;
   (* 3. settled input: exact segment quadrature *)
   if !next < 3 then begin
-    let a = ref st.s_u in
+    let a = ref !u in
     while !next < 3 do
-      let b = lvls.(!next) in
+      let b = pick !next l20 l50 l80 in
       let width = b -. !a in
       if width > 0.0 then begin
         let s = ref 0.0 in
@@ -572,23 +556,22 @@ let simulate_fast_ext_compiled tech c ~input_slew ~load_cap =
           end;
           s := !s +. (gl_w.(i) /. ii)
         done;
-        st.s_t <- st.s_t +. (cap *. width *. !s)
+        t := !t +. (cap *. width *. !s)
       end;
-      times.(!next) <- st.s_t;
+      if !next = 0 then t20 := !t else if !next = 1 then t50 := !t else t80 := !t;
       a := b;
       incr next
     done
   end;
-  if !ramp_limited then Metrics.incr m_fast_ramp_limited;
-  ( {
-      delay = times.(1) -. (tau /. 2.0);
-      output_slew = (times.(2) -. times.(0)) /. 0.6;
-    },
-    !ramp_limited )
+  if !ramp_limited then begin
+    Metrics.incr m_fast_ramp_limited;
+    if auto then raise_notrace Ramp_limited
+  end;
+  { delay = !t50 -. (tau /. 2.0); output_slew = (!t80 -. !t20) /. 0.6 }
 
 (* ----- batched fast kernel (SoA layer) -----
 
-   [simulate_fast_ext_compiled] restructured sample-major → stage-major:
+   [simulate_fast_compiled] restructured sample-major → stage-major:
    a batch holds N samples' compiled constants column-wise
    ({!Arc.Batch}) and the three phases run as fused loops over the whole
    population — one pass for the dead-zone skip, lockstep Heun rounds
@@ -648,7 +631,6 @@ module Batch = struct
     active : int array;  (* compacting index list for the ramp rounds *)
     delays : float array;
     slews : float array;
-    st : sim_scratch;  (* shared crossing-bisection bracket *)
     capacity : int;
   }
 
@@ -676,7 +658,6 @@ module Batch = struct
       active = Array.make capacity 0;
       delays = Array.make capacity Float.nan;
       slews = Array.make capacity Float.nan;
-      st = fresh_scratch ();
       capacity;
     }
 
@@ -787,7 +768,7 @@ module Batch = struct
         let next = ref (Array.unsafe_get b.next (i)) in
         while !next < 3 && u1 >= (Array.unsafe_get lvls !next) do
           Array.unsafe_set b.times ((3 * i) + !next)
-            (hermite_crossing_st b.st ~t0:t ~dt ~u0:u ~u1 ~f0 ~f1
+            (hermite_crossing ~t0:t ~dt ~u0:u ~u1 ~f0 ~f1
                (Array.unsafe_get lvls !next));
           if !next = 1 then Array.unsafe_set b.ramp_limited (i) true;
           incr next
@@ -880,14 +861,11 @@ let run_compiled ?kernel tech c ~input_slew ~load_cap =
   let kernel = match kernel with Some k -> k | None -> default_kernel () in
   match kernel with
   | Rk4 -> simulate_compiled tech c ~input_slew ~load_cap
-  | Fast -> fst (simulate_fast_ext_compiled tech c ~input_slew ~load_cap)
+  | Fast -> simulate_fast_compiled ~auto:false tech c ~input_slew ~load_cap
   | Auto -> (
     Metrics.incr m_auto_calls;
-    match simulate_fast_ext_compiled tech c ~input_slew ~load_cap with
-    | r, false -> r
-    | _, true ->
-      note_auto_fallback ();
-      simulate_compiled tech c ~input_slew ~load_cap
-    | exception Failure _ ->
+    match simulate_fast_compiled ~auto:true tech c ~input_slew ~load_cap with
+    | r -> r
+    | exception (Failure _ | Ramp_limited) ->
       note_auto_fallback ();
       simulate_compiled tech c ~input_slew ~load_cap)

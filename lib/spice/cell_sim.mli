@@ -108,8 +108,9 @@ val run_compiled :
     on a compiled copy of the same arc, for every kernel: the loops hoist
     gate-invariant factors ([Arc.drive_settled], [Arc.set_gate]) and keep
     their state unboxed, but preserve the reference kernels' floating-
-    point operation order exactly.  Allocation-free apart from one small
-    scratch record per call (no per-step boxing). *)
+    point operation order exactly.  The Fast kernel allocates only its
+    result record; RK4 adds one small scratch record per call (no
+    per-step boxing in either). *)
 
 (** {1 Batched fast kernel (SoA layer)}
 

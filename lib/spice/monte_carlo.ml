@@ -154,20 +154,29 @@ let arc_delays_planned ?(exec = Executor.default ()) ?kernel ?(batch = false)
         ~n;
       delays
     end
-    else
-      Executor.map_float_array exec ~init:plan
-        (fun sk i ->
-          let sample = Variation.draw tech (Rng.derive base ~index:i) in
-          Arc.fill tech sk sample;
-          match
-            Cell_sim.run_compiled ~kernel tech (Arc.skeleton_compiled sk)
-              ~input_slew ~load_cap
-          with
-          | r ->
-            out_slews.(i) <- r.Cell_sim.output_slew;
-            r.Cell_sim.delay
-          | exception Failure _ -> Float.nan)
-        ~n
+    else begin
+      (* The task writes delay and slew straight into the output arrays
+         and the kernel option is boxed once per study, so a sample
+         allocates only its draw and the kernel's result record. *)
+      let kernel = Some kernel in
+      let delays = Array.make n Float.nan in
+      Executor.map_ranges exec ~chunk:1 ~init:plan
+        (fun sk ~lo ~hi ->
+          for i = lo to hi - 1 do
+            let sample = Variation.draw tech (Rng.derive base ~index:i) in
+            Arc.fill tech sk sample;
+            match
+              Cell_sim.run_compiled ?kernel tech (Arc.skeleton_compiled sk)
+                ~input_slew ~load_cap
+            with
+            | r ->
+              delays.(i) <- r.Cell_sim.delay;
+              out_slews.(i) <- r.Cell_sim.output_slew
+            | exception Failure _ -> ()
+          done)
+        ~n;
+      delays
+    end
   in
   Metrics.incr m_samples ~by:n;
   if Metrics.enabled () then begin

@@ -208,6 +208,16 @@ let test_empty_population_failure () =
 
 (* ---------- allocation budget ---------- *)
 
+let words_per_sample ~n f =
+  let mw0 = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. mw0) /. float_of_int n
+
+let check_budget what words budget =
+  if words > budget then
+    Alcotest.failf "%s allocates %.0f words/sample (budget %.0f)" what words
+      budget
+
 (* The planned fill+run must allocate far less than the rebuild path.
    Budgets are generous: the dev profile boxes cross-module float calls
    (no flambda), so per-sample words are much higher here than in the
@@ -216,13 +226,8 @@ let test_allocation_budget () =
   let cell = Cell.make Nand2 ~strength:2 in
   let n = 200 in
   let input_slew = 40e-12 and load_cap = Cell.fo4_load tech cell in
-  let words f =
-    let mw0 = Gc.minor_words () in
-    f ();
-    (Gc.minor_words () -. mw0) /. float_of_int n
-  in
   let planned =
-    words (fun () ->
+    words_per_sample ~n (fun () ->
         ignore
           (Monte_carlo.arc_delays_planned ~exec:Executor.sequential
              ~kernel:Cell_sim.Rk4 tech (Rng.create ~seed:9) ~n
@@ -230,7 +235,7 @@ let test_allocation_budget () =
              ~input_slew ~load_cap))
   in
   let unplanned =
-    words (fun () ->
+    words_per_sample ~n (fun () ->
         ignore
           (Monte_carlo.arc_results ~exec:Executor.sequential
              ~kernel:Cell_sim.Rk4 tech (Rng.create ~seed:9) ~n
@@ -246,10 +251,40 @@ let test_allocation_budget () =
      (~1.3k words/sample; the release profile is far lower) so a
      reintroduced per-sample allocation trips it without wall-clock
      flakiness. *)
-  let budget = 2500.0 in
-  if planned > budget then
-    Alcotest.failf "planned path allocates %.0f words/sample (budget %.0f)"
-      planned budget
+  check_budget "planned path" planned 2500.0
+
+(* The per-sample path the characterisation workload runs: derive,
+   draw, fill, then the Fast kernel on the filled plan.  Draw+fill is
+   budgeted on its own so a regression is attributed to its layer.
+   Ceilings sit ~2x above the dev-profile measurement (draw+fill 98,
+   Fast planned path 413 words/sample), where [-opaque] keeps
+   cross-module float calls boxed; the release profile allocates far
+   less.  A generator with boxed int64 state words and a [float option]
+   spare put draw+fill at 534 and the whole path at 878, so either
+   regression trips these ceilings. *)
+let fast_cell = Cell.make Aoi21 ~strength:2
+let fast_plan () = Cell.plan tech fast_cell ~output_edge:`Fall
+let fast_n = 400
+
+let test_draw_fill_allocation_budget () =
+  let sk = fast_plan () in
+  let base = Rng.create ~seed:4 in
+  check_budget "Variation.draw + Arc.fill"
+    (words_per_sample ~n:fast_n (fun () ->
+         for i = 0 to fast_n - 1 do
+           Arc.fill tech sk (Variation.draw tech (Rng.derive base ~index:i))
+         done))
+    200.0
+
+let test_fast_allocation_budget () =
+  check_budget "Fast planned path"
+    (words_per_sample ~n:fast_n (fun () ->
+         ignore
+           (Monte_carlo.arc_delays_planned ~exec:Executor.sequential
+              ~kernel:Cell_sim.Fast tech (Rng.create ~seed:9) ~n:fast_n
+              ~plan:fast_plan ~input_slew:40e-12
+              ~load_cap:(Cell.fo4_load tech fast_cell))))
+    800.0
 
 let () =
   Alcotest.run "plan"
@@ -259,6 +294,10 @@ let () =
           Alcotest.test_case "planned = unplanned (bitwise)" `Quick
             test_arc_bit_identity;
           Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
+          Alcotest.test_case "draw+fill allocation budget" `Quick
+            test_draw_fill_allocation_budget;
+          Alcotest.test_case "fast allocation budget" `Quick
+            test_fast_allocation_budget;
         ] );
       ( "table",
         [ Alcotest.test_case "identical across backends" `Quick

@@ -102,6 +102,96 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 50 Fun.id) sorted
 
+(* Golden streams: the first outputs of every entry point for fixed
+   seeds, recorded from the reference implementation.  Every sampled
+   population, cached library and golden benchmark digest is a function
+   of these streams, so a change of the generator's representation must
+   leave them identical bit for bit; the self-consistency tests above
+   would not notice a shifted stream. *)
+
+let check_bits64 what expected g =
+  List.iteri
+    (fun i e ->
+      let a = Rng.bits64 g in
+      if not (Int64.equal e a) then
+        Alcotest.failf "%s: output %d is 0x%016Lx, expected 0x%016Lx" what i a e)
+    expected
+
+let check_floats what expected draw =
+  List.iteri
+    (fun i e ->
+      let a = draw () in
+      if not (Int64.equal (Int64.bits_of_float e) (Int64.bits_of_float a)) then
+        Alcotest.failf "%s: output %d is %h, expected %h" what i a e)
+    expected
+
+let test_rng_golden_streams () =
+  check_bits64 "bits64 seed 42"
+    [ 0xd0764d4f4476689fL; 0x519e4174576f3791L; 0xfbe07cfb0c24ed8cL;
+      0xb37d9f600cd835b8L ]
+    (Rng.create ~seed:42);
+  check_bits64 "bits64 seed 0" [ 0x53175d61490b23dfL; 0x61da6f3dc380d507L ]
+    (Rng.create ~seed:0);
+  check_bits64 "bits64 seed -1" [ 0x56ccf8ce948e27b2L; 0xe68588432e5a5b90L ]
+    (Rng.create ~seed:(-1));
+  let g = Rng.create ~seed:7 in
+  check_floats "uniform seed 7"
+    [ 0x1.c583400555d2p-5; 0x1.607e46efd274cp-3; 0x1.6f66236761a8bp-1;
+      0x1.b5767da98c6p-2 ]
+    (fun () -> Rng.uniform g);
+  (* Outputs 1 and 3 are the cached second halves of polar pairs. *)
+  let g = Rng.create ~seed:9 in
+  check_floats "gaussian seed 9"
+    [ 0x1.f0c5cbf69a4bp+0; -0x1.60769bb0aebbfp+0; -0x1.8a9729958e00ep-3;
+      0x1.f6912b4a3f795p-3; -0x1.919b022ad9bcap-2 ]
+    (fun () -> Rng.gaussian g);
+  let g = Rng.create ~seed:21 in
+  check_floats "gaussian_mu_sigma seed 21"
+    [ 0x1.ce197fb2c745ep+0; 0x1.74de30b0010bdp+0; 0x1.eeec152c6340ap+0 ]
+    (fun () -> Rng.gaussian_mu_sigma g ~mu:1.5 ~sigma:0.25);
+  let g = Rng.create ~seed:11 in
+  Alcotest.(check (list int))
+    "int 1000 seed 11" [ 168; 141; 558; 147; 764; 832 ]
+    (List.init 6 (fun _ -> Rng.int g 1000))
+
+let test_rng_golden_split_derive () =
+  let g = Rng.create ~seed:5 in
+  let child = Rng.split g in
+  check_bits64 "split child seed 5"
+    [ 0x936dba24c4aeb81eL; 0x6670af34c6b5d121L; 0xd8c4cfb4cc7a5cfbL ]
+    child;
+  check_bits64 "split parent after seed 5"
+    [ 0x9c874b1ef6a1c5e6L; 0x19141eb775a6f43fL ]
+    g;
+  let g = Rng.create ~seed:3 in
+  List.iter
+    (fun (index, expected) ->
+      check_bits64
+        (Printf.sprintf "derive seed 3 index %d" index)
+        expected (Rng.derive g ~index))
+    [
+      (0, [ 0x12a07e2b641985c8L; 0xaebf2841cbc43436L ]);
+      (1, [ 0x2f1579eee06cc20cL; 0x08fd4fdeded504fbL ]);
+      (2, [ 0x68347f06b0b93152L; 0x88dbbe7954d35c91L ]);
+      (17, [ 0x5ee1fe9a8f1fdd9eL; 0xca722e31f803df52L ]);
+      (1_000_000, [ 0x48a9212bd151e66fL; 0xdf970fb044a161e6L ]);
+    ];
+  (* [derive] must not advance its parent. *)
+  check_bits64 "derive parent after seed 3" [ 0x0d2beb91b9196929L ] g
+
+let test_rng_golden_copy_mid_pair () =
+  (* A copy taken between the two halves of a polar pair carries the
+     cached spare: both generators continue with the same stream. *)
+  let g = Rng.create ~seed:13 in
+  check_floats "first half seed 13" [ 0x1.95b61a55f7cc5p-4 ] (fun () ->
+      Rng.gaussian g);
+  let c = Rng.copy g in
+  let rest =
+    [ 0x1.38b6c63b533a8p-1; -0x1.c4fe410aa9184p-1; -0x1.0a341dbfb905bp+0 ]
+  in
+  check_floats "copy" rest (fun () -> Rng.gaussian c);
+  check_floats "original" rest (fun () -> Rng.gaussian g)
+
 (* ---------- Special functions ---------- *)
 
 let test_erf_values () =
@@ -737,6 +827,11 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "exponential" `Quick test_rng_exponential;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
+          Alcotest.test_case "golden split and derive" `Quick
+            test_rng_golden_split_derive;
+          Alcotest.test_case "golden copy mid-pair" `Quick
+            test_rng_golden_copy_mid_pair;
         ] );
       ( "special",
         [
