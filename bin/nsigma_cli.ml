@@ -128,24 +128,6 @@ let rtol_arg =
   in
   Arg.(value & opt (some float) None & info [ "rtol" ] ~docv:"TOL" ~doc)
 
-let batch_arg =
-  let doc =
-    "Route fast-kernel Monte-Carlo through the batched \
-     structure-of-arrays evaluator (fused stage loops over whole sample \
-     blocks).  A pure throughput switch: populations stay bit-identical \
-     to the scalar loop."
-  in
-  Arg.(value & flag & info [ "batch" ] ~doc)
-
-let no_bit_identical_arg =
-  let doc =
-    "Let the batched kernel use polynomial transcendental approximations \
-     (relative error ≤ 1e-7) instead of libm — faster, but populations \
-     are no longer bitwise-reproducible against default runs.  Implies \
-     $(b,--batch)."
-  in
-  Arg.(value & flag & info [ "no-bit-identical" ] ~doc)
-
 (* Resolve the CLI sampling flags and record them as run-report context. *)
 let sampling_of_flags sampling rtol =
   let backend =
@@ -430,8 +412,7 @@ let analyze_cmd =
     Arg.(value & opt (some float) None & info [ "period" ] ~docv:"PS" ~doc)
   in
   let run vdd library circuit verilog sigma mc coeffs jobs kernel sampling rtol
-      batch no_bit_identical engine maxop period provider_cache metrics trace
-      progress =
+      engine maxop period provider_cache metrics trace progress =
     setup_obs ~metrics ~trace ~progress ();
     check_mc ~allow_zero:true mc;
     (match period with
@@ -441,13 +422,6 @@ let analyze_cmd =
     let tech = tech_of_vdd vdd in
     let exec = exec_of_jobs jobs in
     let sampling, rtol = sampling_of_flags sampling rtol in
-    (* --no-bit-identical implies the batch layer (the approximation
-       only exists there); characterize has no such flags on purpose —
-       .lvf fingerprints pin bit-exact populations. *)
-    let approx = no_bit_identical in
-    let batch = batch || approx in
-    Obs_report.set_context "batch"
-      (if approx then "approx" else if batch then "on" else "off");
     let lib =
       Metrics.span "cli.load_library" (fun () -> Library.load tech library)
     in
@@ -485,8 +459,7 @@ let analyze_cmd =
       if mc > 0 then begin
         Printf.printf "path Monte-Carlo (%d samples)...\n%!" mc;
         let stats =
-          Path_mc.run ?kernel ~n:mc ~exec ~sampling ?rtol ~batch ~approx tech
-            design path
+          Path_mc.run ?kernel ~n:mc ~exec ~sampling ?rtol tech design path
         in
         Printf.printf "MC: mu=%.1f ps, %+dσ=%.1f ps, %+dσ=%.1f ps\n"
           (stats.Path_mc.moments.Moments.mean *. 1e12)
@@ -502,8 +475,8 @@ let analyze_cmd =
         (Stat_max.operator_name maxop);
       let provider =
         Metrics.span "cli.ssta_provider" (fun () ->
-            Ssta.lvf_provider ~exec ~batch ~approx
-              ?store_dir:(store_dir_of provider_cache) tech lib design)
+            Ssta.lvf_provider ~exec ?store_dir:(store_dir_of provider_cache)
+              tech lib design)
       in
       let report = Ssta.analyze ~config tech provider design in
       let worst = Ssta.circuit_dist report in
@@ -537,8 +510,8 @@ let analyze_cmd =
     Term.(
       const run $ vdd_arg $ library_arg $ circuit_arg $ verilog_arg $ sigma_arg
       $ mc_arg 0 $ coeffs_arg $ jobs_arg $ kernel_arg $ sampling_arg $ rtol_arg
-      $ batch_arg $ no_bit_identical_arg $ engine_arg $ max_arg $ period_arg
-      $ provider_cache_arg $ metrics_arg $ trace_arg $ progress_arg)
+      $ engine_arg $ max_arg $ period_arg $ provider_cache_arg $ metrics_arg
+      $ trace_arg $ progress_arg)
   in
   Cmd.v
     (Cmd.info "analyze"

@@ -236,26 +236,20 @@ let map_float_array t ~init f ~n =
   map_float_into t ~init f ~out ~n;
   out
 
-let map_ranges t ~chunk ~init f ~n =
+let iter_scratch t ~init f ~n =
   if n < 0 then invalid_arg "Executor: n must be non-negative";
-  if chunk <= 0 then invalid_arg "Executor.map_ranges: chunk must be positive";
   match t with
   | Sequential ->
     Metrics.incr m_seq_tasks ~by:n;
     let scratch = init () in
-    let lo = ref 0 in
-    while !lo < n do
-      let hi = min n (!lo + chunk) in
-      f scratch ~lo:!lo ~hi;
-      lo := hi
+    for i = 0 to n - 1 do
+      f scratch i
     done
   | Pool { jobs } ->
-    (* pool_exec claims whole [chunk]-aligned ranges off the cursor, so
-       the partition is exactly the sequential one — only ownership and
-       completion order differ, which the index discipline makes
-       invisible. *)
-    pool_exec ~jobs ~chunk ~n ~init ~run_range:(fun scratch start stop ->
-        f scratch ~lo:start ~hi:stop)
+    pool_exec ~jobs ~chunk:1 ~n ~init ~run_range:(fun scratch start stop ->
+        for i = start to stop - 1 do
+          f scratch i
+        done)
 
 let map_chunked t ?chunk f ~n =
   let chunk =

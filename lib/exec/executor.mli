@@ -107,20 +107,10 @@ val map_float_range :
     @raise Invalid_argument on a bad range or an [out] shorter than
     [hi]. *)
 
-val map_ranges :
-  t ->
-  chunk:int ->
-  init:(unit -> 's) ->
-  ('s -> lo:int -> hi:int -> unit) ->
-  n:int ->
-  unit
-(** Hand whole index ranges to the task instead of single indices:
-    [f scratch ~lo ~hi] processes [lo <= i < hi] itself, writing results
-    wherever it pleases (typically into caller-owned arrays indexed by
-    the absolute sample index).  This is the seam the SoA batch kernel
-    runs on — each range is loaded into one batch and evaluated with
-    fused per-stage loops.  The range partition is the same
-    [chunk]-aligned one for every backend ([lo] always a multiple of
-    [chunk]), so per-sample results are independent of the backend and
-    pool size; workers claim one range per queue fetch.
-    @raise Invalid_argument if [chunk <= 0] or [n < 0]. *)
+val iter_scratch : t -> init:(unit -> 's) -> ('s -> int -> unit) -> n:int -> unit
+(** {!map_scratch} for tasks that write their results themselves
+    (typically into caller-owned arrays indexed by the sample index,
+    several outputs per sample) instead of returning one: runs
+    [f scratch i] for every [i < n], workers claiming one index per
+    queue fetch.
+    @raise Invalid_argument if [n < 0]. *)

@@ -372,185 +372,3 @@ let skeleton_compiled sk = sk.sk_compiled
 let skeleton_local_dim sk =
   let arc = sk.sk_arc in
   2 * (Array.length arc.devices + (match arc.opposing with Some _ -> 1 | None -> 0))
-
-(* ----- structure-of-arrays batch view ----- *)
-
-(* One [compiled] record per sample would spread a batch's constants
-   over the heap; the SoA view packs each constant into its own unboxed
-   float array so the fused stage loops of [Cell_sim.Batch] stream
-   through contiguous memory.  The indexed drive kernels below are the
-   scalar [drive]/[drive_settled] bodies verbatim (same expression
-   grouping, same libm calls), so evaluating slot [i] is bit-identical
-   to evaluating the [compiled] record it was loaded from; the [_approx]
-   variants substitute the [Fastmath] polynomial kernels and are the
-   only source of numeric divergence in the batch layer. *)
-module Batch = struct
-  type batch = {
-    capacity : int;
-    vdd : float array;
-    cap_intrinsic : float array;
-    parallel : float array;
-    inv_depth : float array;
-    s_fixed : float array;
-    k_sw : float array;
-    vth_sw : float array;
-    inv_2nut : float array;
-    nut : float array;
-    inv_ut : float array;
-    inv_va : float array;
-    k_opp : float array;
-    vth_opp : float array;
-    den_on : float array;
-    kff_opp : float array;
-  }
-
-  let create capacity =
-    if capacity <= 0 then
-      invalid_arg "Arc.Batch.create: capacity must be positive";
-    let mk () = Array.make capacity 0.0 in
-    {
-      capacity;
-      vdd = mk ();
-      cap_intrinsic = mk ();
-      parallel = mk ();
-      inv_depth = mk ();
-      s_fixed = mk ();
-      k_sw = mk ();
-      vth_sw = mk ();
-      inv_2nut = mk ();
-      nut = mk ();
-      inv_ut = mk ();
-      inv_va = mk ();
-      k_opp = mk ();
-      vth_opp = mk ();
-      den_on = mk ();
-      kff_opp = mk ();
-    }
-
-  let capacity t = t.capacity
-
-  (* Snapshot the current constants of [c] into slot [i]; the caller is
-     then free to refill [c] for the next sample. *)
-  let load t i c =
-    if i < 0 || i >= t.capacity then
-      invalid_arg "Arc.Batch.load: slot out of range";
-    Array.unsafe_set t.vdd i c.c_vdd;
-    Array.unsafe_set t.cap_intrinsic i c.c_cap_intrinsic;
-    Array.unsafe_set t.parallel i c.c_parallel;
-    Array.unsafe_set t.inv_depth i c.c_inv_depth;
-    Array.unsafe_set t.s_fixed i c.c_s_fixed;
-    Array.unsafe_set t.k_sw i c.c_k_sw;
-    Array.unsafe_set t.vth_sw i c.c_vth_sw;
-    Array.unsafe_set t.inv_2nut i c.c_inv_2nut;
-    Array.unsafe_set t.nut i c.c_nut;
-    Array.unsafe_set t.inv_ut i c.c_inv_ut;
-    Array.unsafe_set t.inv_va i c.c_inv_va;
-    Array.unsafe_set t.k_opp i c.c_k_opp;
-    Array.unsafe_set t.vth_opp i c.c_vth_opp;
-    Array.unsafe_set t.den_on i c.c_den_on;
-    Array.unsafe_set t.kff_opp i c.c_kff_opp
-
-  let[@inline] cap_intrinsic t i = (Array.unsafe_get t.cap_intrinsic i)
-  let[@inline] nut t i = (Array.unsafe_get t.nut i)
-  let[@inline] vth_sw t i = (Array.unsafe_get t.vth_sw i)
-
-  (* [drive] on slot [i]: expression-for-expression the scalar body. *)
-  let[@inline always] drive t i ~gate ~travel =
-    let drop = (Array.unsafe_get t.vdd i) -. travel in
-    if drop <= 0.0 then 0.0
-    else begin
-      let vds = drop *. (Array.unsafe_get t.inv_depth i) in
-      let sat = 1.0 -. exp (-.vds *. (Array.unsafe_get t.inv_ut i)) in
-      let clm = 1.0 +. (vds *. (Array.unsafe_get t.inv_va i)) in
-      let f =
-        Nsigma_stats.Special.log1p_exp
-          ((gate -. (Array.unsafe_get t.vth_sw i)) *. (Array.unsafe_get t.inv_2nut i))
-      in
-      let stack =
-        (Array.unsafe_get t.parallel i) *. sat *. clm
-        /. ((Array.unsafe_get t.s_fixed i) +. (1.0 /. Float.max ((Array.unsafe_get t.k_sw i) *. f *. f) 1e-300))
-      in
-      let short_circuit =
-        if (Array.unsafe_get t.k_opp i) = 0.0 || travel <= 0.0 then 0.0
-        else begin
-          let fo =
-            Nsigma_stats.Special.log1p_exp
-              (((Array.unsafe_get t.vdd i) -. gate -. (Array.unsafe_get t.vth_opp i)) *. (Array.unsafe_get t.inv_2nut i))
-          in
-          (Array.unsafe_get t.k_opp i) *. fo *. fo
-          *. (1.0 -. exp (-.travel *. (Array.unsafe_get t.inv_ut i)))
-          *. (1.0 +. (travel *. (Array.unsafe_get t.inv_va i)))
-        end
-      in
-      Float.max 0.0 (stack -. short_circuit)
-    end
-
-  (* [drive_settled] on slot [i]: the scalar body verbatim. *)
-  let[@inline always] drive_settled t i ~travel =
-    let drop = (Array.unsafe_get t.vdd i) -. travel in
-    if drop <= 0.0 then 0.0
-    else begin
-      let vds = drop *. (Array.unsafe_get t.inv_depth i) in
-      let sat = 1.0 -. exp (-.vds *. (Array.unsafe_get t.inv_ut i)) in
-      let clm = 1.0 +. (vds *. (Array.unsafe_get t.inv_va i)) in
-      let stack = (Array.unsafe_get t.parallel i) *. sat *. clm /. (Array.unsafe_get t.den_on i) in
-      let short_circuit =
-        if (Array.unsafe_get t.k_opp i) = 0.0 || travel <= 0.0 then 0.0
-        else
-          (Array.unsafe_get t.kff_opp i)
-          *. (1.0 -. exp (-.travel *. (Array.unsafe_get t.inv_ut i)))
-          *. (1.0 +. (travel *. (Array.unsafe_get t.inv_va i)))
-      in
-      max_pos0 (stack -. short_circuit)
-    end
-
-  (* Approximate variants: identical structure with the polynomial
-     exp/log1p_exp kernels (≤1e-7 relative error — see [Fastmath]). *)
-  let[@inline always] drive_approx t i ~gate ~travel =
-    let drop = (Array.unsafe_get t.vdd i) -. travel in
-    if drop <= 0.0 then 0.0
-    else begin
-      let vds = drop *. (Array.unsafe_get t.inv_depth i) in
-      let sat = 1.0 -. Nsigma_stats.Fastmath.exp (-.vds *. (Array.unsafe_get t.inv_ut i)) in
-      let clm = 1.0 +. (vds *. (Array.unsafe_get t.inv_va i)) in
-      let f =
-        Nsigma_stats.Fastmath.log1p_exp
-          ((gate -. (Array.unsafe_get t.vth_sw i)) *. (Array.unsafe_get t.inv_2nut i))
-      in
-      let stack =
-        (Array.unsafe_get t.parallel i) *. sat *. clm
-        /. ((Array.unsafe_get t.s_fixed i) +. (1.0 /. Float.max ((Array.unsafe_get t.k_sw i) *. f *. f) 1e-300))
-      in
-      let short_circuit =
-        if (Array.unsafe_get t.k_opp i) = 0.0 || travel <= 0.0 then 0.0
-        else begin
-          let fo =
-            Nsigma_stats.Fastmath.log1p_exp
-              (((Array.unsafe_get t.vdd i) -. gate -. (Array.unsafe_get t.vth_opp i)) *. (Array.unsafe_get t.inv_2nut i))
-          in
-          (Array.unsafe_get t.k_opp i) *. fo *. fo
-          *. (1.0 -. Nsigma_stats.Fastmath.exp (-.travel *. (Array.unsafe_get t.inv_ut i)))
-          *. (1.0 +. (travel *. (Array.unsafe_get t.inv_va i)))
-        end
-      in
-      Float.max 0.0 (stack -. short_circuit)
-    end
-
-  let[@inline always] drive_settled_approx t i ~travel =
-    let drop = (Array.unsafe_get t.vdd i) -. travel in
-    if drop <= 0.0 then 0.0
-    else begin
-      let vds = drop *. (Array.unsafe_get t.inv_depth i) in
-      let sat = 1.0 -. Nsigma_stats.Fastmath.exp (-.vds *. (Array.unsafe_get t.inv_ut i)) in
-      let clm = 1.0 +. (vds *. (Array.unsafe_get t.inv_va i)) in
-      let stack = (Array.unsafe_get t.parallel i) *. sat *. clm /. (Array.unsafe_get t.den_on i) in
-      let short_circuit =
-        if (Array.unsafe_get t.k_opp i) = 0.0 || travel <= 0.0 then 0.0
-        else
-          (Array.unsafe_get t.kff_opp i)
-          *. (1.0 -. Nsigma_stats.Fastmath.exp (-.travel *. (Array.unsafe_get t.inv_ut i)))
-          *. (1.0 +. (travel *. (Array.unsafe_get t.inv_va i)))
-      in
-      max_pos0 (stack -. short_circuit)
-    end
-end

@@ -160,50 +160,3 @@ val skeleton_local_dim : skeleton -> int
     present, in exactly that order.  Together with
     [Variation.global_deviate_dim] this fixes the deviate-vector
     dimension a [Sampler] stream must produce per sample. *)
-
-(** {1 Structure-of-arrays batch view}
-
-    The batched fast kernel ({!Cell_sim.Batch}) evaluates N samples per
-    stage instead of N stages per sample.  A [Batch.t] holds the
-    compiled constants of up to [capacity] samples column-wise — one
-    unboxed [float array] per constant — so the fused stage loops stream
-    through contiguous memory.  The indexed drive kernels replicate the
-    scalar {!drive}/{!drive_settled} bodies expression-for-expression:
-    evaluating slot [i] is bit-identical to evaluating the [compiled]
-    record it was {!Batch.load}ed from.  The [_approx] variants swap the
-    libm transcendentals for {!Nsigma_stats.Fastmath}'s polynomial
-    kernels (relative error ≤ 1e-7) and are only reachable through the
-    opt-in [--no-bit-identical] mode. *)
-
-module Batch : sig
-  type batch
-  (** Column-wise constants of a population of compiled arcs.  Plain
-      mutable arrays — not thread-safe; each worker domain owns its own
-      batch (see [Executor.map_ranges]). *)
-
-  val create : int -> batch
-  (** [create capacity] allocates a batch of [capacity] slots.
-      @raise Invalid_argument if [capacity <= 0]. *)
-
-  val capacity : batch -> int
-
-  val load : batch -> int -> compiled -> unit
-  (** [load b i c] snapshots the current constants of [c] into slot [i];
-      [c] may be refilled for the next sample afterwards. *)
-
-  val cap_intrinsic : batch -> int -> float
-  val nut : batch -> int -> float
-  val vth_sw : batch -> int -> float
-
-  val drive : batch -> int -> gate:float -> travel:float -> float
-  (** {!Arc.drive} on slot [i]; bit-identical to the scalar kernel. *)
-
-  val drive_settled : batch -> int -> travel:float -> float
-  (** {!Arc.drive_settled} on slot [i]; bit-identical. *)
-
-  val drive_approx : batch -> int -> gate:float -> travel:float -> float
-  (** {!drive} with polynomial transcendentals (≤1e-7 relative error). *)
-
-  val drive_settled_approx : batch -> int -> travel:float -> float
-  (** {!drive_settled} with polynomial transcendentals. *)
-end

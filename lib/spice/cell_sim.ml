@@ -569,294 +569,6 @@ let simulate_fast_compiled ~auto tech c ~input_slew ~load_cap =
   end;
   { delay = !t50 -. (tau /. 2.0); output_slew = (!t80 -. !t20) /. 0.6 }
 
-(* ----- batched fast kernel (SoA layer) -----
-
-   [simulate_fast_compiled] restructured sample-major → stage-major:
-   a batch holds N samples' compiled constants column-wise
-   ({!Arc.Batch}) and the three phases run as fused loops over the whole
-   population — one pass for the dead-zone skip, lockstep Heun rounds
-   over a compacting active-index list for the ramp window, one pass for
-   the settled-phase quadrature.  Interchanging the loops does not touch
-   any sample's floating-point operation sequence: with the exact drive
-   kernels every per-sample value path is the scalar kernel's
-   expression-for-expression, so the batch is bit-identical to the
-   per-sample loop (asserted by test_batch).  The one deliberate
-   divergence is [~approx:true], which swaps the libm transcendentals
-   for [Fastmath]'s polynomial kernels (≤1e-7 relative error) — that is
-   what the opt-in --no-bit-identical mode enables.
-
-   The ramp runs in lockstep rounds: every active sample takes exactly
-   one Heun step per round, so the round index equals each sample's
-   scalar [guard] counter and the 64-round bound reproduces the scalar
-   guard exactly.  Failures (ramp non-convergence, a non-driving settled
-   segment) mark the slot NaN instead of raising — the per-sample
-   planned loop maps [Failure] to NaN, so populations still match —
-   while keeping the same [kernel.fast.failed] accounting and debug
-   logs. *)
-
-let[@inline always] bdrive ~approx arcs i ~gate ~travel =
-  if approx then Arc.Batch.drive_approx arcs i ~gate ~travel
-  else Arc.Batch.drive arcs i ~gate ~travel
-
-let[@inline always] bdrive_settled ~approx arcs i ~travel =
-  if approx then Arc.Batch.drive_settled_approx arcs i ~travel
-  else Arc.Batch.drive_settled arcs i ~travel
-
-module Batch = struct
-  type t = {
-    arcs : Arc.Batch.batch;
-    tau : float array;  (* per-slot input slew *)
-    load : float array;  (* per-slot load cap (for diagnostics) *)
-    cap : float array;
-    inv_cap : float array;
-    bt : float array;  (* integration time *)
-    bu : float array;  (* output travel *)
-    (* Per-round stage columns, indexed by position in [active] (not by
-       slot): splitting each Heun round into four short passes keeps
-       every pass's loop body small enough that the out-of-order window
-       spans several samples, so the transcendental latency chains of
-       independent samples overlap instead of serialising.  Per-sample
-       arithmetic is unchanged — only the interleaving across samples
-       moves, which cannot perturb a bit of any one sample's result. *)
-    bf0 : float array;  (* predictor slope f0/cap *)
-    bf1 : float array;  (* corrector slope f1/cap *)
-    bdt : float array;  (* accepted step *)
-    bg1 : float array;  (* gate voltage at t1 *)
-    bup : float array;  (* predictor travel *)
-    dt_gate : float array;
-    times : float array;  (* crossing times, 3 per slot *)
-    next : int array;  (* per-slot next threshold index *)
-    ramp_limited : bool array;
-    failed : bool array;
-    active : int array;  (* compacting index list for the ramp rounds *)
-    delays : float array;
-    slews : float array;
-    capacity : int;
-  }
-
-  let create capacity =
-    if capacity <= 0 then
-      invalid_arg "Cell_sim.Batch.create: capacity must be positive";
-    {
-      arcs = Arc.Batch.create capacity;
-      tau = Array.make capacity 0.0;
-      load = Array.make capacity 0.0;
-      cap = Array.make capacity 0.0;
-      inv_cap = Array.make capacity 0.0;
-      bt = Array.make capacity 0.0;
-      bu = Array.make capacity 0.0;
-      bf0 = Array.make capacity 0.0;
-      bf1 = Array.make capacity 0.0;
-      bdt = Array.make capacity 0.0;
-      bg1 = Array.make capacity 0.0;
-      bup = Array.make capacity 0.0;
-      dt_gate = Array.make capacity 0.0;
-      times = Array.make (3 * capacity) nan;
-      next = Array.make capacity 0;
-      ramp_limited = Array.make capacity false;
-      failed = Array.make capacity false;
-      active = Array.make capacity 0;
-      delays = Array.make capacity Float.nan;
-      slews = Array.make capacity Float.nan;
-      capacity;
-    }
-
-  let capacity b = b.capacity
-
-  let load b i c ~input_slew ~load_cap =
-    if input_slew <= 0.0 then
-      invalid_arg "Cell_sim.simulate_fast: slew must be positive";
-    if load_cap < 0.0 then invalid_arg "Cell_sim.simulate_fast: negative load";
-    Arc.Batch.load b.arcs i c;
-    Array.unsafe_set b.tau i input_slew;
-    Array.unsafe_set b.load i load_cap
-
-  let[@inline] delay b i = (Array.unsafe_get b.delays (i))
-  let[@inline] output_slew b i = (Array.unsafe_get b.slews (i))
-  let[@inline] failed b i = (Array.unsafe_get b.failed (i))
-
-  let eval ?(approx = false) tech b ~n =
-    if n < 0 || n > b.capacity then
-      invalid_arg "Cell_sim.Batch.eval: sample count out of range";
-    Metrics.incr m_fast_calls ~by:n;
-    let vdd = tech.Technology.vdd_nominal in
-    let lvls = [| 0.2 *. vdd; 0.5 *. vdd; 0.8 *. vdd |] in
-    let du_max = 0.09 *. vdd in
-    let arcs = b.arcs in
-    (* 1. per-slot constants + dead-zone skip, one fused pass *)
-    for i = 0 to n - 1 do
-      let cap = (Array.unsafe_get b.load (i)) +. Arc.Batch.cap_intrinsic arcs i in
-      Array.unsafe_set b.cap (i) cap;
-      Array.unsafe_set b.inv_cap (i) (1.0 /. cap);
-      Array.unsafe_set b.times (3 * i) nan;
-      Array.unsafe_set b.times ((3 * i) + 1) nan;
-      Array.unsafe_set b.times ((3 * i) + 2) nan;
-      Array.unsafe_set b.next (i) 0;
-      Array.unsafe_set b.ramp_limited (i) false;
-      Array.unsafe_set b.failed (i) false;
-      let tau = (Array.unsafe_get b.tau (i)) in
-      let nut = Arc.Batch.nut arcs i in
-      let vth = Arc.Batch.vth_sw arcs i in
-      let g_on = Float.min vdd (Float.max 0.0 (vth -. (6.0 *. nut))) in
-      let t_start = tau *. (g_on /. vdd) in
-      let u_start =
-        if t_start <= 0.0 then 0.0
-        else
-          Float.min (0.15 *. vdd)
-            (bdrive ~approx arcs i ~gate:g_on ~travel:0.0
-            *. nut *. (tau /. vdd) *. (Array.unsafe_get b.inv_cap (i)))
-      in
-      Array.unsafe_set b.bt (i) t_start;
-      Array.unsafe_set b.bu (i) u_start;
-      Array.unsafe_set b.dt_gate (i) ((tau -. t_start) /. 9.0)
-    done;
-    (* 2. ramp window: lockstep Heun rounds over the active samples *)
-    let n_active = ref 0 in
-    for i = 0 to n - 1 do
-      if (Array.unsafe_get b.bt (i)) < (Array.unsafe_get b.tau (i)) then begin
-        Array.unsafe_set b.active (!n_active) i;
-        incr n_active
-      end
-    done;
-    let round = ref 0 in
-    while !n_active > 0 && !round < 64 do
-      incr round;
-      let m = !n_active in
-      (* Stage A: predictor slope.  The drive evaluations of different
-         samples are independent, so this short loop lets their
-         transcendental chains pipeline. *)
-      for k = 0 to m - 1 do
-        let i = (Array.unsafe_get b.active (k)) in
-        Array.unsafe_set b.bf0 k
-          (bdrive ~approx arcs i
-             ~gate:(vdd *. (Array.unsafe_get b.bt i /. Array.unsafe_get b.tau i))
-             ~travel:(Array.unsafe_get b.bu i)
-          *. Array.unsafe_get b.inv_cap i)
-      done;
-      (* Stage B: step-size control and predictor state. *)
-      for k = 0 to m - 1 do
-        let i = (Array.unsafe_get b.active (k)) in
-        let tau = (Array.unsafe_get b.tau (i)) in
-        let t = (Array.unsafe_get b.bt (i)) and u = (Array.unsafe_get b.bu (i)) in
-        let f0 = (Array.unsafe_get b.bf0 (k)) in
-        let dt0 =
-          if f0 *. (Array.unsafe_get b.dt_gate (i)) > du_max then du_max /. f0
-          else (Array.unsafe_get b.dt_gate (i))
-        in
-        let dt = Float.min dt0 (tau -. t) in
-        Array.unsafe_set b.bdt (k) dt;
-        Array.unsafe_set b.bg1 (k) (vdd *. Float.min 1.0 ((t +. dt) /. tau));
-        Array.unsafe_set b.bup (k) (Float.min vdd (u +. (dt *. f0)))
-      done;
-      (* Stage C: corrector slope. *)
-      for k = 0 to m - 1 do
-        let i = (Array.unsafe_get b.active (k)) in
-        Array.unsafe_set b.bf1 k
-          (bdrive ~approx arcs i ~gate:(Array.unsafe_get b.bg1 k)
-             ~travel:(Array.unsafe_get b.bup k)
-          *. Array.unsafe_get b.inv_cap i)
-      done;
-      (* Stage D: Heun commit, threshold crossings, compaction. *)
-      n_active := 0;
-      for k = 0 to m - 1 do
-        let i = (Array.unsafe_get b.active (k)) in
-        let tau = (Array.unsafe_get b.tau (i)) in
-        let t = (Array.unsafe_get b.bt (i)) and u = (Array.unsafe_get b.bu (i)) in
-        let f0 = (Array.unsafe_get b.bf0 (k)) and f1 = (Array.unsafe_get b.bf1 (k)) and dt = (Array.unsafe_get b.bdt (k)) in
-        let t1 = t +. dt in
-        let u1 = Float.min vdd (u +. (dt *. 0.5 *. (f0 +. f1))) in
-        let next = ref (Array.unsafe_get b.next (i)) in
-        while !next < 3 && u1 >= (Array.unsafe_get lvls !next) do
-          Array.unsafe_set b.times ((3 * i) + !next)
-            (hermite_crossing ~t0:t ~dt ~u0:u ~u1 ~f0 ~f1
-               (Array.unsafe_get lvls !next));
-          if !next = 1 then Array.unsafe_set b.ramp_limited (i) true;
-          incr next
-        done;
-        Array.unsafe_set b.next (i) !next;
-        Array.unsafe_set b.bt (i) t1;
-        Array.unsafe_set b.bu (i) u1;
-        (* Writes trail reads (!n_active <= k), so compacting in place
-           is safe. *)
-        if t1 < tau && !next < 3 then begin
-          Array.unsafe_set b.active (!n_active) i;
-          incr n_active
-        end
-      done
-    done;
-    (* Samples still active after 64 rounds are the scalar kernel's
-       guard-exhausted failures. *)
-    for k = 0 to !n_active - 1 do
-      let i = (Array.unsafe_get b.active (k)) in
-      Array.unsafe_set b.failed (i) true;
-      note_fast_failed ();
-      Log.debug "fast ramp stepping did not converge%s"
-        (Log.kv
-           [
-             ("steps", string_of_int !round);
-             ("input_slew", Printf.sprintf "%.3g" (Array.unsafe_get b.tau (i)));
-             ("load_cap", Printf.sprintf "%.3g" (Array.unsafe_get b.load (i)));
-           ])
-    done;
-    (* 3. settled input: exact segment quadrature, one fused pass *)
-    for i = 0 to n - 1 do
-      if (not (Array.unsafe_get b.failed (i))) && (Array.unsafe_get b.next (i)) < 3 then begin
-        let cap = (Array.unsafe_get b.cap (i)) in
-        let a = ref (Array.unsafe_get b.bu (i)) in
-        let t = ref (Array.unsafe_get b.bt (i)) in
-        let next = ref (Array.unsafe_get b.next (i)) in
-        (try
-           while !next < 3 do
-             let lvl = (Array.unsafe_get lvls !next) in
-             let width = lvl -. !a in
-             if width > 0.0 then begin
-               let s = ref 0.0 in
-               for q = 0 to 2 do
-                 let ui = !a +. (width *. (Array.unsafe_get gl_x q)) in
-                 let ii = bdrive_settled ~approx arcs i ~travel:ui in
-                 if ii <= 0.0 then begin
-                   note_fast_failed ();
-                   Log.debug "fast settled phase cannot reach %.1f%% of swing%s"
-                     (100.0 *. ui /. vdd)
-                     (Log.kv
-                        [
-                          ("input_slew", Printf.sprintf "%.3g" (Array.unsafe_get b.tau (i)));
-                          ("load_cap", Printf.sprintf "%.3g" (Array.unsafe_get b.load (i)));
-                        ]);
-                   Array.unsafe_set b.failed (i) true;
-                   raise Exit
-                 end;
-                 s := !s +. ((Array.unsafe_get gl_w q) /. ii)
-               done;
-               t := !t +. (cap *. width *. !s)
-             end;
-             Array.unsafe_set b.times ((3 * i) + !next) !t;
-             a := lvl;
-             incr next
-           done
-         with Exit -> ());
-        Array.unsafe_set b.next (i) !next
-      end
-    done;
-    (* 4. results *)
-    for i = 0 to n - 1 do
-      if (Array.unsafe_get b.failed (i)) then begin
-        Array.unsafe_set b.delays (i) Float.nan;
-        Array.unsafe_set b.slews (i) Float.nan
-      end
-      else begin
-        if (Array.unsafe_get b.ramp_limited (i)) then Metrics.incr m_fast_ramp_limited;
-        Array.unsafe_set b.delays (i)
-          (Array.unsafe_get b.times ((3 * i) + 1)
-          -. (Array.unsafe_get b.tau (i) /. 2.0));
-        Array.unsafe_set b.slews (i)
-          ((Array.unsafe_get b.times ((3 * i) + 2)
-           -. Array.unsafe_get b.times (3 * i))
-          /. 0.6)
-      end
-    done
-end
-
 let run_compiled ?kernel tech c ~input_slew ~load_cap =
   let kernel = match kernel with Some k -> k | None -> default_kernel () in
   match kernel with

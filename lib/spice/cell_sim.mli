@@ -111,60 +111,3 @@ val run_compiled :
     point operation order exactly.  The Fast kernel allocates only its
     result record; RK4 adds one small scratch record per call (no
     per-step boxing in either). *)
-
-(** {1 Batched fast kernel (SoA layer)}
-
-    The fast kernel restructured sample-major → stage-major: a batch
-    holds up to [capacity] samples' compiled constants column-wise
-    ({!Arc.Batch}) plus all integration state in unboxed [float array]s,
-    and {!Batch.eval} runs the three phases as fused loops over the
-    whole population — one pass for the dead-zone skip, lockstep Heun
-    rounds over a compacting active-index list for the ramp window
-    (every active sample takes exactly one step per round, so the round
-    index reproduces the scalar kernel's per-sample guard counter), one
-    pass for the settled-phase quadrature.
-
-    With [approx = false] each sample's floating-point operation
-    sequence is the scalar {!run_compiled}[ ~kernel:Fast] path
-    expression-for-expression, so results are {e bit-identical} to the
-    per-sample loop (asserted by test_batch) — loop interchange alone
-    never perturbs a sample's value path.  [approx = true] (the opt-in
-    [--no-bit-identical] mode) swaps the libm transcendentals for
-    {!Nsigma_stats.Fastmath}'s polynomial kernels (relative error
-    ≤ 1e-7), which is where the batch layer's raw speedup comes from.
-
-    Failed samples (ramp non-convergence, non-driving settled segment)
-    are marked NaN instead of raising — matching how the planned
-    per-sample loop maps [Failure] to NaN — with the same
-    [kernel.fast.failed] accounting.  Batches are plain mutable scratch:
-    not thread-safe, one per worker domain ([Executor.map_ranges]). *)
-
-module Batch : sig
-  type t
-
-  val create : int -> t
-  (** [create capacity] preallocates every column for [capacity] slots.
-      @raise Invalid_argument if [capacity <= 0]. *)
-
-  val capacity : t -> int
-
-  val load :
-    t -> int -> Arc.compiled -> input_slew:float -> load_cap:float -> unit
-  (** Load one sample's operating point into a slot: snapshots the
-      compiled constants (the record may be refilled afterwards) and the
-      per-slot slew/load.
-      @raise Invalid_argument for non-positive slew or negative load,
-      with the scalar kernel's messages. *)
-
-  val eval : ?approx:bool -> Nsigma_process.Technology.t -> t -> n:int -> unit
-  (** Evaluate slots [0..n-1] with the staged kernel.  [approx] (default
-      false) selects the polynomial transcendentals.  Results are read
-      back with {!delay}/{!output_slew}; failed slots hold NaN.
-      @raise Invalid_argument if [n] exceeds the batch capacity. *)
-
-  val delay : t -> int -> float
-  val output_slew : t -> int -> float
-
-  val failed : t -> int -> bool
-  (** Whether the slot's last {!eval} failed (its delay/slew are NaN). *)
-end

@@ -119,65 +119,31 @@ let compact_nan xs =
     out
   end
 
-(* Samples per SoA batch on the batched fast path.  Also the executor
-   chunk, so one worker fills, evaluates and drains a whole batch
-   without synchronisation. *)
-let batch_chunk = 256
-
-let arc_delays_planned ?(exec = Executor.default ()) ?kernel ?(batch = false)
-    ?(approx = false) tech g ~n ~plan ~input_slew ~load_cap =
+let arc_delays_planned ?(exec = Executor.default ()) ?kernel tech g ~n ~plan
+    ~input_slew ~load_cap =
   let kernel =
     match kernel with Some k -> k | None -> Cell_sim.default_kernel ()
   in
   let base = Rng.split g in
+  (* The task writes delay and slew straight into the output arrays and
+     the kernel option is boxed once per study, so a sample allocates
+     only its draw and the kernel's result record. *)
+  let kernel = Some kernel in
+  let delays = Array.make n Float.nan in
   let out_slews = Array.make n Float.nan in
-  let delays =
-    if (batch || approx) && kernel = Cell_sim.Fast then begin
-      (* SoA batch path: same draws, same fills, same per-sample FP
-         sequence (with [approx] off) — only the loop order changes, so
-         the population is bit-identical to the scalar branch below. *)
-      let delays = Array.make n Float.nan in
-      Executor.map_ranges exec ~chunk:batch_chunk
-        ~init:(fun () -> (plan (), Cell_sim.Batch.create batch_chunk))
-        (fun (sk, b) ~lo ~hi ->
-          for i = lo to hi - 1 do
-            let sample = Variation.draw tech (Rng.derive base ~index:i) in
-            Arc.fill tech sk sample;
-            Cell_sim.Batch.load b (i - lo) (Arc.skeleton_compiled sk)
-              ~input_slew ~load_cap
-          done;
-          Cell_sim.Batch.eval ~approx tech b ~n:(hi - lo);
-          for i = lo to hi - 1 do
-            delays.(i) <- Cell_sim.Batch.delay b (i - lo);
-            out_slews.(i) <- Cell_sim.Batch.output_slew b (i - lo)
-          done)
-        ~n;
-      delays
-    end
-    else begin
-      (* The task writes delay and slew straight into the output arrays
-         and the kernel option is boxed once per study, so a sample
-         allocates only its draw and the kernel's result record. *)
-      let kernel = Some kernel in
-      let delays = Array.make n Float.nan in
-      Executor.map_ranges exec ~chunk:1 ~init:plan
-        (fun sk ~lo ~hi ->
-          for i = lo to hi - 1 do
-            let sample = Variation.draw tech (Rng.derive base ~index:i) in
-            Arc.fill tech sk sample;
-            match
-              Cell_sim.run_compiled ?kernel tech (Arc.skeleton_compiled sk)
-                ~input_slew ~load_cap
-            with
-            | r ->
-              delays.(i) <- r.Cell_sim.delay;
-              out_slews.(i) <- r.Cell_sim.output_slew
-            | exception Failure _ -> ()
-          done)
-        ~n;
-      delays
-    end
-  in
+  Executor.iter_scratch exec ~init:plan
+    (fun sk i ->
+      let sample = Variation.draw tech (Rng.derive base ~index:i) in
+      Arc.fill tech sk sample;
+      match
+        Cell_sim.run_compiled ?kernel tech (Arc.skeleton_compiled sk)
+          ~input_slew ~load_cap
+      with
+      | r ->
+        delays.(i) <- r.Cell_sim.delay;
+        out_slews.(i) <- r.Cell_sim.output_slew
+      | exception Failure _ -> ())
+    ~n;
   Metrics.incr m_samples ~by:n;
   if Metrics.enabled () then begin
     let failed =
@@ -267,8 +233,7 @@ type sampled = {
 }
 
 let arc_delays_sampled ?(exec = Executor.default ()) ?kernel ?sampling ?rtol
-    ?(min_batch = min_adaptive_batch) ?(batch = false) ?(approx = false) tech g
-    ~n ~plan ~input_slew ~load_cap =
+    ?(min_batch = min_adaptive_batch) tech g ~n ~plan ~input_slew ~load_cap =
   let kernel =
     match kernel with Some k -> k | None -> Cell_sim.default_kernel ()
   in
@@ -279,12 +244,9 @@ let arc_delays_sampled ?(exec = Executor.default ()) ?kernel ?sampling ?rtol
   | Sampler.Mc, None ->
     (* The default configuration delegates to the legacy planned loop —
        trivially bit-identical to pre-sampler populations, and metric
-       accounting stays in one place.  The batch flags only apply here:
-       the adaptive and variance-reduced paths below stay scalar (their
-       per-index deviate streams don't chunk naturally). *)
+       accounting stays in one place. *)
     let delays, slews =
-      arc_delays_planned ~exec ~kernel ~batch ~approx tech g ~n ~plan
-        ~input_slew ~load_cap
+      arc_delays_planned ~exec ~kernel tech g ~n ~plan ~input_slew ~load_cap
     in
     { s_delays = delays; s_out_slews = slews; s_requested = n; s_batches = 1 }
   | Sampler.Pcm, _ -> (
@@ -330,8 +292,7 @@ let arc_delays_sampled ?(exec = Executor.default ()) ?kernel ?sampling ?rtol
       if Trace.enabled () then
         Trace.instant tr_pcm_fallback ~a:(float_of_int n_pts) ();
       let delays, slews =
-        arc_delays_planned ~exec ~kernel ~batch ~approx tech g ~n ~plan
-          ~input_slew ~load_cap
+        arc_delays_planned ~exec ~kernel tech g ~n ~plan ~input_slew ~load_cap
       in
       { s_delays = delays; s_out_slews = slews; s_requested = n; s_batches = 1 }
     | true ->

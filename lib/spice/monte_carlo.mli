@@ -112,11 +112,6 @@ val min_adaptive_batch : int
 (** Default minimum batch (256): adaptive sampling never tests
     convergence — hence never stops — below this many samples. *)
 
-val batch_chunk : int
-(** Samples per SoA batch — and per {!Nsigma_exec.Executor.map_ranges}
-    chunk — on the batched fast path (256).  Shared with the path-level
-    batch runner so both layers chunk identically. *)
-
 type sampled = {
   s_delays : float array;
       (** delays in sample order, length = samples actually drawn; NaN
@@ -132,8 +127,6 @@ val arc_delays_sampled :
   ?sampling:Nsigma_stats.Sampler.backend ->
   ?rtol:float ->
   ?min_batch:int ->
-  ?batch:bool ->
-  ?approx:bool ->
   Nsigma_process.Technology.t ->
   Nsigma_stats.Rng.t ->
   n:int ->
@@ -146,9 +139,7 @@ val arc_delays_sampled :
     {!Nsigma_stats.Sampler.default_backend}[ ()], i.e. plain MC unless
     [NSIGMA_SAMPLING] says otherwise).  With the [Mc] backend and no
     [rtol] it delegates to {!arc_delays_planned} — bitwise-identical to
-    the pre-sampler populations, as test_sampler asserts — forwarding
-    [batch]/[approx]; the adaptive and variance-reduced paths stay
-    scalar.
+    the pre-sampler populations, as test_sampler asserts.
 
     The [Pcm] backend replaces sampling altogether: the kernel is
     simulated only at the [Sampler.Pcm.n_points ~dim] Hermite
@@ -177,8 +168,6 @@ val arc_delays_sampled :
 val arc_delays_planned :
   ?exec:Nsigma_exec.Executor.t ->
   ?kernel:Cell_sim.kernel ->
-  ?batch:bool ->
-  ?approx:bool ->
   Nsigma_process.Technology.t ->
   Nsigma_stats.Rng.t ->
   n:int ->
@@ -187,21 +176,11 @@ val arc_delays_planned :
   load_cap:float ->
   float array * float array
 (** Planned counterpart of {!arc_results}: [plan ()] builds one arc
-    skeleton per worker domain ({!Nsigma_exec.Executor.map_scratch}
-    discipline), each sample refreshes it in place ({!Arc.fill}) and runs
+    skeleton per worker domain ({!Nsigma_exec.Executor.iter_scratch}),
+    each sample refreshes it in place ({!Arc.fill}) and runs
     the compiled kernel ({!Cell_sim.run_compiled}).  Returns
     [(delays, output_slews)] in sample order as unboxed float arrays with
     NaN marking non-convergent samples (in both arrays).  Guaranteed
     bit-identical to {!arc_results} on the same (generator state, seed,
     kernel), for every executor backend — the RNG discipline, draw order
-    and floating-point evaluation order are preserved exactly.
-
-    [batch] (default false) routes evaluation through the SoA
-    {!Cell_sim.Batch} kernel in {!Nsigma_exec.Executor.map_ranges}
-    chunks — still bit-identical (loop interchange does not perturb any
-    sample's FP sequence; test_batch asserts this).  [approx] (default
-    false, implies [batch]) additionally swaps the transcendentals for
-    {!Nsigma_stats.Fastmath}'s polynomial kernels — the opt-in
-    [--no-bit-identical] mode, within 1e-7 relative error per call.
-    Both flags only apply to the [Fast] kernel; other kernels ignore
-    them and run the scalar loop. *)
+    and floating-point evaluation order are preserved exactly. *)

@@ -247,93 +247,6 @@ let simulate_planned ?(steps = 200) ?(kernel = Cell_sim.Rk4) tech (p : plan)
     p.hops;
   !total
 
-(* ------------------------------------------------------------------ *)
-(* Batched (SoA) path evaluation: one chunk of samples walks the plan  *)
-(* hop-major, with every hop's cell simulations fused into one         *)
-(* [Cell_sim.Batch.eval].  Each sample owns its [Variation.t] (its own *)
-(* local-deviate cursor), so interleaving samples within a hop         *)
-(* preserves every sample's draw order exactly — and since no FP state *)
-(* is shared between samples, each one's value path is the scalar      *)
-(* [simulate_planned] sequence expression for expression.  Failed      *)
-(* samples (ramp/settled non-convergence) drop out of later hops,      *)
-(* mirroring the scalar loop's [Failure] → NaN mapping.                *)
-(* ------------------------------------------------------------------ *)
-
-type batch_state = {
-  bs_slews : float array;  (* running input slew per sample *)
-  bs_totals : float array;  (* accumulated path delay per sample *)
-  bs_failed : bool array;
-  bs_wire : float array;  (* current hop's D2M wire delay per sample *)
-  bs_wslew : float array;  (* current hop's single-pole wire slew *)
-  bs_slot : int array;  (* sample → batch slot for the current hop *)
-}
-
-let batch_state_create capacity =
-  {
-    bs_slews = Array.make capacity 0.0;
-    bs_totals = Array.make capacity 0.0;
-    bs_failed = Array.make capacity false;
-    bs_wire = Array.make capacity 0.0;
-    bs_wslew = Array.make capacity 0.0;
-    bs_slot = Array.make capacity 0;
-  }
-
-let simulate_batch_range ~approx tech (p : plan) (b : Cell_sim.Batch.t) st
-    ~samples ~out ~lo ~tick =
-  let m = Array.length samples in
-  for s = 0 to m - 1 do
-    st.bs_slews.(s) <- Provider.input_slew_default;
-    st.bs_totals.(s) <- 0.0;
-    st.bs_failed.(s) <- false
-  done;
-  Array.iter
-    (fun hp ->
-      (* Fill pass: per surviving sample, refresh the skeleton and the
-         tree (same per-sample draw order as the scalar loop), snapshot
-         the compiled constants into the next batch slot and record the
-         wire-side quantities before the shared tree scratch is reused. *)
-      let k = ref 0 in
-      for s = 0 to m - 1 do
-        if not st.bs_failed.(s) then begin
-          let sample = samples.(s) in
-          Arc.fill tech hp.hp_sk sample;
-          Wire_gen.vary_into tech sample ~base:hp.hp_base ~into:hp.hp_tree
-            ~res:hp.hp_res ~cap:hp.hp_cap;
-          List.iter
-            (fun (node, c) -> Rctree.bump_cap hp.hp_tree node c)
-            hp.hp_load_caps;
-          Cell_sim.Batch.load b !k (Arc.skeleton_compiled hp.hp_sk)
-            ~input_slew:st.bs_slews.(s)
-            ~load_cap:(Rctree.total_cap hp.hp_tree);
-          st.bs_wire.(s) <- Elmore.d2m_at hp.hp_tree hp.hp_tap;
-          st.bs_wslew.(s) <-
-            peri_slew_factor *. Elmore.delay_at hp.hp_tree hp.hp_tap;
-          st.bs_slot.(s) <- !k;
-          incr k
-        end
-      done;
-      if !k > 0 then Cell_sim.Batch.eval ~approx tech b ~n:!k;
-      (* Drain pass: the scalar hop arithmetic, sample by sample. *)
-      for s = 0 to m - 1 do
-        if not st.bs_failed.(s) then begin
-          let t = st.bs_slot.(s) in
-          if Cell_sim.Batch.failed b t then st.bs_failed.(s) <- true
-          else begin
-            let os = Cell_sim.Batch.output_slew b t in
-            let ws = st.bs_wslew.(s) in
-            let out_slew = sqrt ((os *. os) +. (ws *. ws)) in
-            st.bs_totals.(s) <-
-              st.bs_totals.(s) +. Cell_sim.Batch.delay b t +. st.bs_wire.(s);
-            st.bs_slews.(s) <- Float.max 1e-12 out_slew
-          end
-        end
-      done)
-    p.hops;
-  for s = 0 to m - 1 do
-    out.(lo + s) <- (if st.bs_failed.(s) then Float.nan else st.bs_totals.(s));
-    tick ()
-  done
-
 let end_net (path : Path.t) =
   match List.rev path.Path.hops with
   | last :: _ -> last.Path.out_net
@@ -346,14 +259,9 @@ let no_valid_samples design path ~n =
     design.Design.netlist.Netlist.net_names.(net)
 
 let run ?steps ?kernel ?(n = 1000) ?(seed = 11) ?(exec = Executor.default ())
-    ?sampling ?rtol ?(batch = false) ?(approx = false) tech design path =
+    ?sampling ?rtol tech design path =
   let backend =
     match sampling with Some b -> b | None -> Sampler.default_backend ()
-  in
-  (* The SoA path only covers the fast hop model with a fixed sample
-     count; adaptive runs and the transient reference stay scalar. *)
-  let use_batch =
-    (batch || approx) && kernel = Some Cell_sim.Fast && rtol = None
   in
   (* The generator is consumed exactly as the pre-sampler loop did
      ([Rng.derive g ~index:i] per sample, no split), so the Mc backend
@@ -401,30 +309,6 @@ let run ?steps ?kernel ?(n = 1000) ?(seed = 11) ?(exec = Executor.default ())
               r
             in
             match rtol with
-            | None when use_batch ->
-              let chunk = Monte_carlo.batch_chunk in
-              Executor.map_ranges exec ~chunk
-                ~init:(fun () ->
-                  ( plan_of tech design path,
-                    Cell_sim.Batch.create chunk,
-                    batch_state_create chunk ))
-                (fun (p, b, st) ~lo ~hi ->
-                  let samples =
-                    Array.init (hi - lo) (fun s ->
-                        let i = lo + s in
-                        match sampler with
-                        | None -> Variation.draw tech (Rng.derive g ~index:i)
-                        | Some sm ->
-                          (* Fresh buffer per sample: [of_deviates] keeps
-                             a live cursor into it across the hops. *)
-                          let z = Array.make (Sampler.dim sm) 0.0 in
-                          Sampler.fill sm ~index:i z;
-                          Variation.of_deviates tech z)
-                  in
-                  simulate_batch_range ~approx tech p b st ~samples ~out ~lo
-                    ~tick)
-                ~n;
-              (n, 1)
             | None ->
               Executor.map_float_range exec ~init task ~out ~lo:0 ~hi:n;
               (n, 1)

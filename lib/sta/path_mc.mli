@@ -86,8 +86,6 @@ val run :
   ?exec:Nsigma_exec.Executor.t ->
   ?sampling:Nsigma_stats.Sampler.backend ->
   ?rtol:float ->
-  ?batch:bool ->
-  ?approx:bool ->
   Nsigma_process.Technology.t ->
   Design.t ->
   Path.t ->
@@ -109,16 +107,6 @@ val run :
     the early-stopped population is a bitwise prefix of the full run.
     The configuration and outcome are reported in [stats.sampling].
 
-    [batch] (default false) routes fast-kernel hops through the SoA
-    {!Nsigma_spice.Cell_sim.Batch} layer, hop-major over
-    {!Nsigma_spice.Monte_carlo.batch_chunk}-sample chunks — bit-identical
-    to the scalar loop (each sample owns its deviate cursor, so
-    interleaving cannot perturb a draw or an FP sequence; test_batch
-    asserts this).  [approx] (default false, implies [batch]) swaps in
-    the polynomial transcendentals ({!Nsigma_stats.Fastmath}) — the
-    opt-in [--no-bit-identical] mode.  Both flags apply only when
-    [kernel] is [Fast] and [rtol] is off; otherwise the scalar loop
-    runs.
     @raise Invalid_argument if [rtol <= 0].
     @raise Failure if every sample is non-convergent, naming the path's
     end net. *)

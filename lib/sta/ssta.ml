@@ -398,10 +398,8 @@ let handle_of_provider p =
   }
 
 let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
-    ?(exec = Executor.default ()) ?(batch = false) ?(approx = false)
-    ?(store_dir = Store.default_dir ()) tech (lib : Library.t)
-    (design : Design.t) : handle =
-  let use_batch = batch || approx in
+    ?(exec = Executor.default ()) ?(store_dir = Store.default_dir ()) tech
+    (lib : Library.t) (design : Design.t) : handle =
   let master = Rng.create ~seed in
   let wire_rng = Rng.derive master ~index:1 in
   let frac_rng = Rng.derive master ~index:2 in
@@ -420,13 +418,12 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
   let frac_cache : (string * int, arc_response) Hashtbl.t = Hashtbl.create 32 in
   (* The store key pins everything the regression depends on: the
      library fingerprint covers technology, grid, kernel and sampling;
-     the remaining knobs are this provider's own.  [wire_samples], the
-     executor and [batch] do not enter — they don't change the result
-     (the batched kernel is bit-identical unless [approx]). *)
+     the remaining knobs are this provider's own.  [wire_samples] and
+     the executor do not enter — they don't change the result. *)
   let lib_fp = lazy (Library.fingerprint lib) in
   let store_key (cell_name, edge_ix) =
-    Printf.sprintf "frac-v1|%s|%s|e%d|n%d|s%d|approx=%b" (Lazy.force lib_fp)
-      cell_name edge_ix frac_samples seed approx
+    Printf.sprintf "frac-v1|%s|%s|e%d|n%d|s%d" (Lazy.force lib_fp) cell_name
+      edge_ix frac_samples seed
   in
   let rec arc_response (cell : Cell.t) edge =
     let cache_key = (Cell.name cell, Engine_core.edge_index edge) in
@@ -454,8 +451,8 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
         (* Per-sample results land in index-addressed arrays (each
            worker writes disjoint slots), and the moment accumulators
            fold over them in index order on this domain afterwards — so
-           any executor backend, and the batched kernel, reproduce the
-           sequential population bit for bit. *)
+           any executor backend reproduces the sequential population bit
+           for bit. *)
         let d_fulls = Array.make frac_samples 0.0 in
         let s_fulls = Array.make frac_samples 0.0 in
         let d_globs = Array.make frac_samples 0.0 in
@@ -467,67 +464,26 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
           Array.blit z 0 zs.(i) 0 ng;
           z
         in
-        if use_batch then
-          (* Two SoA batches per chunk — one for the full draws, one for
-             the globals-only twins — so both populations evaluate as
-             fused loops. *)
-          let chunk = Monte_carlo.batch_chunk in
-          Executor.map_ranges exec ~chunk
-            ~init:(fun () ->
-              ( Cell.plan tech cell ~output_edge:(edge_of edge),
-                Cell_sim.Batch.create chunk,
-                Cell_sim.Batch.create chunk ))
-            (fun (sk, bf, bg) ~lo ~hi ->
-              for i = lo to hi - 1 do
-                let z = draw i in
-                let t = i - lo in
-                Arc.fill tech sk (Variation.of_deviates tech z);
-                Cell_sim.Batch.load bf t (Arc.skeleton_compiled sk)
-                  ~input_slew:slew ~load_cap:load;
-                Arc.fill tech sk
-                  { (Variation.of_deviates tech z) with
-                    Variation.local_scale = 0.0 };
-                Cell_sim.Batch.load bg t (Arc.skeleton_compiled sk)
-                  ~input_slew:slew ~load_cap:load
-              done;
-              let m = hi - lo in
-              Cell_sim.Batch.eval ~approx tech bf ~n:m;
-              Cell_sim.Batch.eval ~approx tech bg ~n:m;
-              for i = lo to hi - 1 do
-                let t = i - lo in
-                if Cell_sim.Batch.failed bf t || Cell_sim.Batch.failed bg t
-                then
-                  failwith
-                    "Ssta.lvf_provider: fast kernel failed at the reference \
-                     point";
-                d_fulls.(i) <- Cell_sim.Batch.delay bf t;
-                s_fulls.(i) <- Cell_sim.Batch.output_slew bf t;
-                d_globs.(i) <- Cell_sim.Batch.delay bg t;
-                s_globs.(i) <- Cell_sim.Batch.output_slew bg t
-              done)
-            ~n:frac_samples
-        else
-          ignore
-            (Executor.map_scratch exec
-               ~init:(fun () -> Cell.plan tech cell ~output_edge:(edge_of edge))
-               (fun sk i ->
-                 let z = draw i in
-                 let run v =
-                   Arc.fill tech sk v;
-                   Cell_sim.run ~kernel:Cell_sim.Fast tech (Arc.skeleton_arc sk)
-                     ~input_slew:slew ~load_cap:load
-                 in
-                 let r_full = run (Variation.of_deviates tech z) in
-                 let r_glob =
-                   run
-                     { (Variation.of_deviates tech z) with
-                       Variation.local_scale = 0.0 }
-                 in
-                 d_fulls.(i) <- r_full.Cell_sim.delay;
-                 s_fulls.(i) <- r_full.Cell_sim.output_slew;
-                 d_globs.(i) <- r_glob.Cell_sim.delay;
-                 s_globs.(i) <- r_glob.Cell_sim.output_slew)
-               ~n:frac_samples);
+        Executor.iter_scratch exec
+          ~init:(fun () -> Cell.plan tech cell ~output_edge:(edge_of edge))
+          (fun sk i ->
+            let z = draw i in
+            let run v =
+              Arc.fill tech sk v;
+              Cell_sim.run ~kernel:Cell_sim.Fast tech (Arc.skeleton_arc sk)
+                ~input_slew:slew ~load_cap:load
+            in
+            let r_full = run (Variation.of_deviates tech z) in
+            let r_glob =
+              run
+                { (Variation.of_deviates tech z) with
+                  Variation.local_scale = 0.0 }
+            in
+            d_fulls.(i) <- r_full.Cell_sim.delay;
+            s_fulls.(i) <- r_full.Cell_sim.output_slew;
+            d_globs.(i) <- r_glob.Cell_sim.delay;
+            s_globs.(i) <- r_glob.Cell_sim.output_slew)
+          ~n:frac_samples;
         let full = ref Moments.empty and glob = ref Moments.empty in
         let sl_full = ref Moments.empty and sl_glob = ref Moments.empty in
         for i = 0 to frac_samples - 1 do
@@ -875,10 +831,10 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
     h_prewarm = prewarm;
   }
 
-let lvf_provider ?seed ?wire_samples ?frac_samples ?exec ?batch ?approx
-    ?store_dir tech lib design =
-  (lvf_handle ?seed ?wire_samples ?frac_samples ?exec ?batch ?approx
-     ?store_dir tech lib design)
+let lvf_provider ?seed ?wire_samples ?frac_samples ?exec ?store_dir tech lib
+    design =
+  (lvf_handle ?seed ?wire_samples ?frac_samples ?exec ?store_dir tech lib
+     design)
     .h_provider
 
 (* ---------------------------------------------------------------- *)

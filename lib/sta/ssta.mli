@@ -128,8 +128,6 @@ val lvf_handle :
   ?wire_samples:int ->
   ?frac_samples:int ->
   ?exec:Nsigma_exec.Executor.t ->
-  ?batch:bool ->
-  ?approx:bool ->
   ?store_dir:string option ->
   Nsigma_process.Technology.t ->
   Nsigma_liberty.Library.t ->
@@ -139,7 +137,7 @@ val lvf_handle :
     content-addressed on-disk store for the per-(cell, edge) moment
     regressions ({!Nsigma_liberty.Store}): keys are derived from the
     library's v4 fingerprint plus the provider knobs that shape the
-    result ([frac_samples], [seed], [approx]), and payloads round-trip
+    result ([frac_samples], [seed]), and payloads round-trip
     exactly (hex float literals), so a store-warm provider is bitwise
     identical to a cold one.  Default {!Nsigma_liberty.Store.default_dir}
     (the [NSIGMA_PROVIDER_CACHE] environment directory); pass
@@ -152,8 +150,6 @@ val lvf_provider :
   ?wire_samples:int ->
   ?frac_samples:int ->
   ?exec:Nsigma_exec.Executor.t ->
-  ?batch:bool ->
-  ?approx:bool ->
   ?store_dir:string option ->
   Nsigma_process.Technology.t ->
   Nsigma_liberty.Library.t ->
@@ -178,11 +174,7 @@ val lvf_provider :
     {!Nsigma_exec.Executor.default}[ ()]): workers fill index-addressed
     per-sample arrays and the moment accumulators fold over them in
     index order on the calling domain, so populations are bit-identical
-    on every backend.  [batch] routes the paired cell mini-MC through
-    the SoA {!Nsigma_spice.Cell_sim.Batch} kernel (two batches per
-    chunk: full draws and their globals-only twins), still
-    bit-identical; [approx] (implies [batch]) swaps in the polynomial
-    transcendentals — the opt-in [--no-bit-identical] mode.
+    on every backend (test_ssta asserts this for the cell mini-MC).
 
     The regression is memoized per (cell name, edge): it runs at the
     fixed reference operating point (reference slew, FO4 load), so every

@@ -40,14 +40,17 @@ let tree_of_seed seed =
   in
   Wire_gen.random_tree tech spec g
 
+(* The draw order (depth, gates, inputs) fixes each seed's netlist, so
+   it must not change.  Depth is clamped to the gate count because
+   [random_logic] needs at least one gate per level. *)
 let netlist_of_seed seed =
   let g = Rng.create ~seed in
+  let depth = 2 + Rng.int g 8 in
+  let n_gates = 8 + Rng.int g 60 in
+  let n_inputs = 2 + Rng.int g 10 in
   G.random_logic
     ~name:(Printf.sprintf "p%d" seed)
-    ~n_inputs:(2 + Rng.int g 10)
-    ~n_gates:(8 + Rng.int g 60)
-    ~depth:(2 + Rng.int g 8)
-    ~seed
+    ~n_inputs ~n_gates ~depth:(min depth n_gates) ~seed
 
 let seed_arb = QCheck.int_bound 100_000
 

@@ -673,6 +673,83 @@ let test_pcm_arc_surrogate () =
           sigma (100.0 *. rel) qp qm)
     [ -3.0; 3.0 ]
 
+(* The PCM acceptance workload: four arcs spanning single-device,
+   wide, stacked and complex-gate drive, each at its FO4 load. *)
+let pcm_workload () =
+  [ (Cell.make Inv ~strength:1, `Rise);
+    (Cell.make Inv ~strength:8, `Fall);
+    (Cell.make Nand2 ~strength:2, `Rise);
+    (Cell.make Aoi21 ~strength:1, `Fall) ]
+  |> List.map (fun (cell, edge) -> (cell, edge, Cell.fo4_load tech cell))
+
+(* PCM's point is kernel work: at a 4096-sample study it must simulate
+   at least 8x fewer arcs than plain MC, even on the widest arc.  The
+   collocation count is a pure function of the deviate dimension, so
+   this costs no simulation. *)
+let test_pcm_kernel_reduction () =
+  let n = 4096 in
+  let evals =
+    List.fold_left
+      (fun acc (cell, edge, _) ->
+        let sk = Cell.plan tech cell ~output_edge:edge in
+        let dim = Variation.global_deviate_dim + Arc.skeleton_local_dim sk in
+        max acc (Sampler.Pcm.n_points ~dim))
+      0 (pcm_workload ())
+  in
+  let reduction = float_of_int n /. float_of_int evals in
+  if reduction < 8.0 then
+    Alcotest.failf "pcm reduction %.2fx at n=%d (%d collocations), need >= 8x"
+      reduction n evals
+
+(* PCM's surrogate bias must stay within [slack] of plain MC's sampling
+   error at the same sample count: relative RMSE of the ±3σ quantiles
+   over the workload and [reps] seeds, against a large plain-MC
+   reference population. *)
+let test_pcm_tail_rmse () =
+  let n = 512 and n_ref = 8192 and reps = 2 and slack = 4.0 in
+  let tails =
+    [ Quantile.probability_of_sigma (-3.0); Quantile.probability_of_sigma 3.0 ]
+  in
+  let sorted_delays sampling ~seed ~n (cell, edge, load) =
+    let s =
+      Monte_carlo.arc_delays_sampled ~exec:Executor.sequential
+        ~kernel:Cell_sim.Fast ~sampling tech (Rng.create ~seed) ~n
+        ~plan:(fun () -> Cell.plan tech cell ~output_edge:edge)
+        ~input_slew:40e-12 ~load_cap:load
+    in
+    let d = Monte_carlo.compact_nan s.Monte_carlo.s_delays in
+    Array.sort Float.compare d;
+    d
+  in
+  let workload = pcm_workload () in
+  let refs =
+    List.map
+      (fun arc ->
+        let sorted = sorted_delays Sampler.Mc ~seed:424242 ~n:n_ref arc in
+        List.map (Quantile.of_sorted sorted) tails)
+      workload
+  in
+  let rmse sampling =
+    let acc = ref 0.0 and cnt = ref 0 in
+    for rep = 1 to reps do
+      List.iter2
+        (fun arc q_refs ->
+          let sorted = sorted_delays sampling ~seed:(1000 + rep) ~n arc in
+          List.iter2
+            (fun p q_ref ->
+              let e = (Quantile.of_sorted sorted p -. q_ref) /. q_ref in
+              acc := !acc +. (e *. e);
+              incr cnt)
+            tails q_refs)
+        workload refs
+    done;
+    sqrt (!acc /. float_of_int !cnt)
+  in
+  let mc = rmse Sampler.Mc and pcm = rmse Sampler.Pcm in
+  if pcm > slack *. mc then
+    Alcotest.failf "pcm ±3σ rmse %.4f%% exceeds %.1f x mc rmse %.4f%%"
+      (100.0 *. pcm) slack (100.0 *. mc)
+
 let () =
   Alcotest.run "sampler"
     [
@@ -713,6 +790,10 @@ let () =
             test_pcm_quadratic_exact;
           Alcotest.test_case "arc surrogate determinism + accuracy" `Quick
             test_pcm_arc_surrogate;
+          Alcotest.test_case "kernel-eval reduction >= 8x" `Quick
+            test_pcm_kernel_reduction;
+          Alcotest.test_case "±3σ rmse within slack of mc" `Quick
+            test_pcm_tail_rmse;
         ] );
       ( "quantile",
         [ Alcotest.test_case "of_sorted/ci edge cases" `Quick

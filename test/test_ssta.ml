@@ -256,6 +256,36 @@ let test_lvf_provider_sanity () =
   in
   Alcotest.(check bool) "mean near nominal (20%)" true (rel < 0.20)
 
+(* The provider's cell and wire mini-MCs run on the executor, and their
+   moment folds run in index order on the calling domain afterwards, so
+   the circuit distribution must not depend on the backend.  The store
+   is off so both providers really sample. *)
+let test_executor_identity () =
+  let lib = Lazy.force library in
+  let bm = List.hd Bm.small_variants in
+  let design = Design.attach_parasitics tech (bm.Bm.generate ()) in
+  let dist exec =
+    let provider =
+      Ssta.lvf_provider ~seed:3 ~exec ~store_dir:None tech lib design
+    in
+    Ssta.circuit_dist (Ssta.analyze tech provider design)
+  in
+  let d0 = dist Nsigma_exec.Executor.sequential
+  and d1 = dist (Nsigma_exec.Executor.domain_pool ~jobs:2 ()) in
+  let check_bits what e a =
+    Alcotest.(check int) (what ^ " length") (Array.length e) (Array.length a);
+    Array.iteri
+      (fun i x ->
+        if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float a.(i)))
+        then Alcotest.failf "%s[%d] differs: %h vs %h" what i x a.(i))
+      e
+  in
+  check_bits "mean/local moments"
+    [| d0.Ssta.d_mean; d0.Ssta.d_var_l; d0.Ssta.d_m3_l; d0.Ssta.d_m4_l |]
+    [| d1.Ssta.d_mean; d1.Ssta.d_var_l; d1.Ssta.d_m3_l; d1.Ssta.d_m4_l |];
+  check_bits "linear sens" d0.Ssta.d_a d1.Ssta.d_a;
+  check_bits "quadratic sens" d0.Ssta.d_b d1.Ssta.d_b
+
 let () =
   Alcotest.run "nsigma_ssta"
     [
@@ -273,5 +303,7 @@ let () =
         [
           Alcotest.test_case "lvf provider sanity" `Slow test_lvf_provider_sanity;
           Alcotest.test_case "validate smoke" `Slow test_validate_smoke;
+          Alcotest.test_case "sequential = pool (bitwise)" `Slow
+            test_executor_identity;
         ] );
     ]
