@@ -16,13 +16,13 @@ let g_tasks_max = Metrics.gauge "exec.worker.tasks.max"
 
 (* Trace tracks: one [exec.pool] span on the calling domain per pool
    run; on each worker domain an [exec.worker] span covering its whole
-   lifetime, with one [exec.task] span per fetched range.  [wait_us]
-   on a task is the gap since the worker finished its previous range —
+   lifetime, with one [exec.task] span per fetched index.  [wait_us] on
+   a task is the gap since the worker finished its previous index —
    queue-wait plus claim latency — so idle gaps are visible per task
    without comparing tracks by eye. *)
-let st_pool = Trace.span_type ~cat:"exec" ~args:[ "jobs"; "n"; "chunk" ] "exec.pool"
+let st_pool = Trace.span_type ~cat:"exec" ~args:[ "jobs"; "n" ] "exec.pool"
 let st_worker = Trace.span_type ~cat:"exec" "exec.worker"
-let st_task = Trace.span_type ~cat:"exec" ~args:[ "start"; "n"; "wait_us" ] "exec.task"
+let st_task = Trace.span_type ~cat:"exec" ~args:[ "index"; "wait_us" ] "exec.task"
 
 type t = Sequential | Pool of { jobs : int }
 
@@ -81,11 +81,13 @@ let default () =
 let jobs = function Sequential -> 1 | Pool { jobs } -> jobs
 
 (* The pool is a work-stealing-free shared queue: an atomic cursor over
-   [0, n).  Workers claim [chunk] indices per fetch and write results
-   into distinct slots of a shared array, which is race-free because no
-   two workers ever hold the same index.  The first exception is stored
-   and drains the queue so every worker exits; it is re-raised with its
-   original backtrace after the join.
+   [lo, hi).  Workers claim one index per fetch — every task here is a
+   whole transient simulation or more, heavy enough that claiming costs
+   nothing by comparison — and write results into distinct slots of
+   caller-owned arrays, which is race-free because no two workers ever
+   hold the same index.  The first exception is stored and drains the
+   queue so every worker exits; it is re-raised with its original
+   backtrace after the join.
 
    Instrumentation (per-worker busy/idle time, task and fetch counts)
    is measured inside each worker on locals and published to the
@@ -95,8 +97,9 @@ let jobs = function Sequential -> 1 | Pool { jobs } -> jobs
    loads at run start.  Trace spans append to buffers private to each
    worker domain.  Neither touches task values or the RNG discipline,
    so the bit-identical invariant is unaffected. *)
-let pool_exec ~jobs ~chunk ~n ~init ~run_range =
-  let cursor = Atomic.make 0 in
+let pool_exec ~jobs ~init f ~lo ~hi =
+  let n = hi - lo in
+  let cursor = Atomic.make lo in
   let failure = Atomic.make None in
   let measuring = Metrics.enabled () in
   let tracing = Trace.enabled () in
@@ -112,20 +115,18 @@ let pool_exec ~jobs ~chunk ~n ~init ~run_range =
     let last_done = ref t_start in
     let running = ref true in
     while !running do
-      let start = Atomic.fetch_and_add cursor chunk in
-      if start >= n || Atomic.get failure <> None then running := false
+      let i = Atomic.fetch_and_add cursor 1 in
+      if i >= hi || Atomic.get failure <> None then running := false
       else begin
         incr fetches;
-        let stop = min n (start + chunk) in
         let t0 = if timed then Metrics.now () else 0.0 in
         if tracing then
-          Trace.begin_span st_task ~a:(float_of_int start)
-            ~b:(float_of_int (stop - start))
-            ~c:(1e6 *. Float.max 0.0 (t0 -. !last_done))
+          Trace.begin_span st_task ~a:(float_of_int i)
+            ~b:(1e6 *. Float.max 0.0 (t0 -. !last_done))
             ();
         (try
-           run_range scratch start stop;
-           tasks := !tasks + (stop - start)
+           f scratch i;
+           incr tasks
          with e ->
            let bt = Printexc.get_raw_backtrace () in
            ignore (Atomic.compare_and_set failure None (Some (e, bt)));
@@ -143,8 +144,7 @@ let pool_exec ~jobs ~chunk ~n ~init ~run_range =
     (!busy, wall, !tasks, !fetches)
   in
   if tracing then
-    Trace.begin_span st_pool ~a:(float_of_int jobs) ~b:(float_of_int n)
-      ~c:(float_of_int chunk) ();
+    Trace.begin_span st_pool ~a:(float_of_int jobs) ~b:(float_of_int n) ();
   let workers = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
   let stats = List.map Domain.join workers in
   if measuring then begin
@@ -167,95 +167,42 @@ let pool_exec ~jobs ~chunk ~n ~init ~run_range =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let pool_run ~jobs ~chunk ~n f =
-  let results = Array.make n None in
-  pool_exec ~jobs ~chunk ~n
-    ~init:(fun () -> ())
-    ~run_range:(fun () start stop ->
-      for i = start to stop - 1 do
-        results.(i) <- Some (f i)
-      done);
-  Array.map (function Some v -> v | None -> assert false) results
-
-let run t ~chunk f ~n =
-  if n < 0 then invalid_arg "Executor: n must be non-negative";
+(* The one scheduling primitive: run [f scratch i] for [lo <= i < hi],
+   in index order on one scratch or across the pool.  Tasks see their
+   absolute index, so batched callers keep index = sample identity. *)
+let iter_range t ~init f ~lo ~hi =
   match t with
   | Sequential ->
-    Metrics.incr m_seq_tasks ~by:n;
-    Array.init n f
-  | Pool { jobs } -> pool_run ~jobs ~chunk ~n f
+    Metrics.incr m_seq_tasks ~by:(hi - lo);
+    let scratch = init () in
+    for i = lo to hi - 1 do
+      f scratch i
+    done
+  | Pool { jobs } -> pool_exec ~jobs ~init f ~lo ~hi
 
-let map_array t f ~n = run t ~chunk:1 f ~n
+let check_n n = if n < 0 then invalid_arg "Executor: n must be non-negative"
+
+let iter_scratch t ~init f ~n =
+  check_n n;
+  iter_range t ~init f ~lo:0 ~hi:n
 
 let map_scratch t ~init f ~n =
-  if n < 0 then invalid_arg "Executor: n must be non-negative";
+  check_n n;
   match t with
   | Sequential ->
     Metrics.incr m_seq_tasks ~by:n;
-    let scratch = init () in
-    Array.init n (f scratch)
-  | Pool { jobs } ->
+    Array.init n (f (init ()))
+  | Pool _ ->
     let results = Array.make n None in
-    pool_exec ~jobs ~chunk:1 ~n ~init
-      ~run_range:(fun scratch start stop ->
-        for i = start to stop - 1 do
-          results.(i) <- Some (f scratch i)
-        done);
+    iter_range t ~init
+      (fun scratch i -> results.(i) <- Some (f scratch i))
+      ~lo:0 ~hi:n;
     Array.map (function Some v -> v | None -> assert false) results
+
+let map_array t f ~n = map_scratch t ~init:ignore (fun () i -> f i) ~n
 
 let map_float_range t ~init f ~out ~lo ~hi =
   if lo < 0 || hi < lo then invalid_arg "Executor.map_float_range: bad range";
   if Array.length out < hi then
     invalid_arg "Executor.map_float_range: output buffer shorter than hi";
-  let n = hi - lo in
-  match t with
-  | Sequential ->
-    Metrics.incr m_seq_tasks ~by:n;
-    let scratch = init () in
-    for i = lo to hi - 1 do
-      out.(i) <- f scratch i
-    done
-  | Pool { jobs } ->
-    (* The cursor runs over [0, hi−lo); tasks shift by [lo] so batched
-       callers (adaptive sampling) keep the index = sample identity. *)
-    pool_exec ~jobs ~chunk:1 ~n ~init
-      ~run_range:(fun scratch start stop ->
-        for k = start to stop - 1 do
-          let i = lo + k in
-          out.(i) <- f scratch i
-        done)
-
-let map_float_into t ~init f ~out ~n =
-  if n < 0 then invalid_arg "Executor: n must be non-negative";
-  if Array.length out < n then
-    invalid_arg "Executor.map_float_into: output buffer shorter than n";
-  map_float_range t ~init f ~out ~lo:0 ~hi:n
-
-let map_float_array t ~init f ~n =
-  let out = Array.make n Float.nan in
-  map_float_into t ~init f ~out ~n;
-  out
-
-let iter_scratch t ~init f ~n =
-  if n < 0 then invalid_arg "Executor: n must be non-negative";
-  match t with
-  | Sequential ->
-    Metrics.incr m_seq_tasks ~by:n;
-    let scratch = init () in
-    for i = 0 to n - 1 do
-      f scratch i
-    done
-  | Pool { jobs } ->
-    pool_exec ~jobs ~chunk:1 ~n ~init ~run_range:(fun scratch start stop ->
-        for i = start to stop - 1 do
-          f scratch i
-        done)
-
-let map_chunked t ?chunk f ~n =
-  let chunk =
-    match chunk with
-    | Some c when c > 0 -> c
-    | Some _ -> invalid_arg "Executor.map_chunked: chunk must be positive"
-    | None -> max 1 (n / (8 * jobs t))
-  in
-  run t ~chunk f ~n
+  iter_range t ~init (fun scratch i -> out.(i) <- f scratch i) ~lo ~hi

@@ -59,12 +59,6 @@ val map_array : t -> (int -> 'a) -> n:int -> 'a array
     the calling domain with its backtrace — workers never deadlock on a
     failed task. *)
 
-val map_chunked : t -> ?chunk:int -> (int -> 'a) -> n:int -> 'a array
-(** Like {!map_array} but workers claim [chunk] consecutive indices per
-    queue round-trip, amortising dispatch for large populations of cheap
-    tasks.  [chunk] defaults to [n / (8 * jobs)] (at least 1).  Output is
-    identical to {!map_array}. *)
-
 (** {1 Scratch-carrying maps (plan layer)}
 
     The per-sample fill of a precompiled sampling plan needs mutable
@@ -79,17 +73,6 @@ val map_chunked : t -> ?chunk:int -> (int -> 'a) -> n:int -> 'a array
 
 val map_scratch : t -> init:(unit -> 's) -> ('s -> int -> 'a) -> n:int -> 'a array
 (** {!map_array} with per-worker scratch. *)
-
-val map_float_into :
-  t -> init:(unit -> 's) -> ('s -> int -> float) -> out:float array -> n:int -> unit
-(** Write [f scratch i] into [out.(i)] for [i < n] — results land
-    directly in the unboxed float array, with no intermediate [option]
-    boxing (callers use a NaN sentinel for failed samples).
-    @raise Invalid_argument if [out] is shorter than [n]. *)
-
-val map_float_array :
-  t -> init:(unit -> 's) -> ('s -> int -> float) -> n:int -> float array
-(** {!map_float_into} into a fresh NaN-filled array of length [n]. *)
 
 val map_float_range :
   t ->

@@ -87,8 +87,9 @@ let characterize ?(n_mc = 2000) ?(seed = 1) ?(slews = default_slews) ?loads
     let gp = Rng.derive g ~index in
     (* Sampling goes through the plan layer: the arc skeleton is compiled
        once per (cell, edge, operating point) and refreshed in place per
-       sample — bit-identical to rebuilding the arc every sample (the
-       unplanned [Monte_carlo.arc_results] path), as test_plan asserts.
+       sample, then the compiled kernel runs on it — bit-identical to
+       building and compiling the arc every sample (the unplanned
+       [Monte_carlo.arc_results] path), as test_plan asserts.
        Grid points are the parallel unit; the inner sampling loop runs
        sequentially to keep one level of domain spawning.  Deviates come
        from the requested [sampling] backend; with the Mc default and no

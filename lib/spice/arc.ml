@@ -142,6 +142,10 @@ type compiled = {
   mutable c_g_kff : float;
 }
 
+(* Recompute the constants of [arc] into [c] in place, allocating
+   nothing.  [compile] is allocate-zeros + [compile_into] and [fill]
+   refills through it, so a refilled record is bit-identical to a
+   freshly compiled one. *)
 let compile_into tech arc c =
   let vdd = tech.Technology.vdd_nominal in
   let ut = Technology.thermal_voltage tech in

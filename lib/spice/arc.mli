@@ -60,18 +60,13 @@ val input_cap : Nsigma_process.Technology.t -> t -> float
 type compiled
 (** An arc with every bias-independent constant hoisted: device
     prefactors (β·W·I_spec), 1/(2nU_T), the harmonic weight of the
-    fully-on stack devices, 1/U_T, 1/V_A.  Both simulation kernels
-    ({!Cell_sim.simulate} and {!Cell_sim.simulate_fast}) evaluate their
-    inner loops through this closure-free form. *)
+    fully-on stack devices, 1/U_T, 1/V_A.  The only form the simulation
+    kernels run on ({!Cell_sim.run_compiled}); their [Arc.t] entry
+    points compile the arc first. *)
 
 val compile : Nsigma_process.Technology.t -> t -> compiled
 (** Precompute the arc's constants.  The result is valid as long as the
     arc and technology are unchanged. *)
-
-val compile_into : Nsigma_process.Technology.t -> t -> compiled -> unit
-(** Recompute the constants of [arc] into an existing compiled record in
-    place (no allocation).  [compile] is allocate-zeros + [compile_into],
-    so refilled records are bit-identical to freshly compiled ones. *)
 
 val cap_intrinsic_of : compiled -> float
 (** The arc's intrinsic output capacitance (F), carried for callers that

@@ -6,8 +6,7 @@
     [input_slew]):
 
     - {!simulate} — the RK4 reference ("SPICE"): classical RK4 over the
-      arc's nonlinear current under a linear input ramp, through the
-      closure-free compiled arc ({!Arc.compile}), with fixed
+      arc's nonlinear current under a linear input ramp, with fixed
       input-resolving steps during the ramp, travel-rate-adaptive steps
       after it, and early exit at the last threshold crossing.
     - {!simulate_fast} — the analytic effective-current path: the dead
@@ -16,6 +15,11 @@
       remaining crossings are exact separable quadratures
       Δt = C·∫du/I(u) (3-point Gauss–Legendre per travel segment) —
       O(10) current evaluations per arc in total.
+
+    Each engine exists once, as a loop over the closure-free compiled
+    arc ({!Arc.compiled}); the [Arc.t] entry points ({!simulate},
+    {!simulate_fast}, {!run}) compile the arc and call it, and the
+    plan layer calls {!run_compiled} on a refilled skeleton directly.
 
     The fast path is the default for Monte-Carlo sampling (it tracks the
     reference to ≪2% in delay and ≪1% in population mean); the reference
@@ -27,10 +31,10 @@ type result = {
 }
 
 type kernel =
-  | Fast  (** analytic effective-current path ({!simulate_fast}) *)
-  | Rk4  (** RK4 reference path ({!simulate}) *)
+  | Fast  (** analytic effective-current loop ({!simulate_fast}) *)
+  | Rk4  (** RK4 reference loop ({!simulate}) *)
   | Auto
-      (** {!simulate_fast}, falling back to {!simulate} when the 50%
+      (** the Fast loop, falling back to the RK4 loop when the 50%
           crossing lands inside the input ramp (the regime where the
           separable approximation is weakest) or the fast path fails *)
 
@@ -85,16 +89,8 @@ val run :
   input_slew:float ->
   load_cap:float ->
   result
-(** Dispatch on [kernel] (default {!default_kernel}[ ()]). *)
-
-val nominal_delay :
-  ?kernel:kernel ->
-  Nsigma_process.Technology.t ->
-  Arc.t ->
-  input_slew:float ->
-  load_cap:float ->
-  float
-(** Convenience projection of {!run}. *)
+(** Dispatch on [kernel] (default {!default_kernel}[ ()]): {!run_compiled}
+    on the compiled arc. *)
 
 val run_compiled :
   ?kernel:kernel ->
@@ -104,10 +100,9 @@ val run_compiled :
   load_cap:float ->
   result
 (** {!run} taking the arc in precompiled form — the sampling hot path of
-    the plan layer ({!Arc.skeleton}/{!Arc.fill}).  Bit-identical to {!run}
-    on a compiled copy of the same arc, for every kernel: the loops hoist
-    gate-invariant factors ([Arc.drive_settled], [Arc.set_gate]) and keep
-    their state unboxed, but preserve the reference kernels' floating-
-    point operation order exactly.  The Fast kernel allocates only its
-    result record; RK4 adds one small scratch record per call (no
-    per-step boxing in either). *)
+    the plan layer ({!Arc.skeleton}/{!Arc.fill}); {!run} is
+    [run_compiled] on [Arc.compile tech arc], so the two agree bit for
+    bit on every kernel.  The loops hoist gate-invariant factors
+    ([Arc.drive_settled], [Arc.set_gate]) and keep their state unboxed.
+    The Fast kernel allocates only its result record; RK4 adds one small
+    scratch record per call (no per-step boxing in either). *)

@@ -162,6 +162,8 @@ let min_adaptive_batch = 256
 let tail_probs =
   [ Quantile.probability_of_sigma (-3.0); Quantile.probability_of_sigma 3.0 ]
 
+(* The adaptive stopping criterion: both ±3σ quantiles of the sorted
+   population have a CI half-width within [rtol] of their value. *)
 let quantiles_converged sorted ~rtol =
   Array.length sorted >= 2
   && List.for_all
@@ -173,10 +175,11 @@ let quantiles_converged sorted ~rtol =
 
 (* Worst relative CI half-width over the tail quantiles — the quantity
    {!quantiles_converged} compares against [rtol], reported on trace
-   convergence events.  Kept separate from the stopping predicate so
-   event emission can never change a stopping decision (the predicate
-   compares un-divided terms; a division here could flip a borderline
-   case). *)
+   convergence events ([infinity] when the population is too small, or
+   a quantile zero, to form a relative width).  Kept separate from the
+   stopping predicate so event emission can never change a stopping
+   decision (the predicate compares un-divided terms; a division here
+   could flip a borderline case). *)
 let quantile_ci_rel sorted =
   if Array.length sorted < 2 then Float.infinity
   else
@@ -194,8 +197,8 @@ let quantile_ci_rel sorted =
    [ci_rel] = worst ±3σ relative CI half-width, [converged] = rtol
    verdict, [capped] = stopped by the sample budget), one
    [sampling.pcm.fit] / [sampling.pcm.fallback] instant per surrogate
-   decision, and a [sampling.drawn] counter track.  Shared by name with
-   the path-level sampler in [Path_mc]. *)
+   decision, and a [sampling.drawn] counter track.  The path-level
+   sampler emits the same events through {!fill_adaptive}. *)
 let tr_batch =
   Trace.instant_type ~cat:"sampling"
     ~args:[ "target"; "ci_rel"; "converged"; "capped" ]
@@ -212,7 +215,7 @@ let tc_drawn = Trace.counter_type ~cat:"sampling" "sampling.drawn"
 
 (* Emitted from population copies only — never feeds back into a
    stopping decision, so drawn populations are bitwise identical with
-   tracing on or off.  Shared with [Path_mc]'s adaptive loop. *)
+   tracing on or off. *)
 let trace_batch_event ~out ~target ~converged ~capped =
   if Trace.enabled () then begin
     let sorted = compact_nan (Array.sub out 0 target) in
@@ -224,6 +227,40 @@ let trace_batch_event ~out ~target ~converged ~capped =
       ~d:(if capped then 1.0 else 0.0)
       ()
   end
+
+let fill_adaptive ~exec ~init task ~out ~n ~rtol ~min_batch ~who =
+  match rtol with
+  | None ->
+    Executor.map_float_range exec ~init task ~out ~lo:0 ~hi:n;
+    (n, 1)
+  | Some rtol ->
+    if rtol <= 0.0 then invalid_arg (who ^ ": rtol must be positive");
+    let min_batch = max 2 min_batch in
+    (* Doubling batches; samples are addressed by absolute index, so
+       an early-stopped population is a bitwise prefix of the full
+       one.  Convergence is never tested below [min_batch] samples. *)
+    let rec loop drawn batches =
+      let target = if drawn = 0 then min n min_batch else min n (2 * drawn) in
+      Executor.map_float_range exec ~init task ~out ~lo:drawn ~hi:target;
+      let batches = batches + 1 in
+      if target >= n then begin
+        trace_batch_event ~out ~target ~converged:false ~capped:true;
+        (target, batches)
+      end
+      else begin
+        let sorted = compact_nan (Array.sub out 0 target) in
+        Array.sort Float.compare sorted;
+        let converged =
+          Array.length sorted >= min_batch && quantiles_converged sorted ~rtol
+        in
+        trace_batch_event ~out ~target ~converged ~capped:false;
+        if converged then (target, batches) else loop target batches
+      end
+    in
+    let drawn, batches = loop 0 0 in
+    Metrics.incr m_sampling_batches ~by:batches;
+    if n > drawn then Metrics.incr m_sampling_saved ~by:(n - drawn);
+    (drawn, batches)
 
 type sampled = {
   s_delays : float array;
@@ -305,16 +342,15 @@ let arc_delays_sampled ?(exec = Executor.default ()) ?kernel ?sampling ?rtol
       let sd = Sampler.Pcm.fit ~dim ~values:(Array.map Stdlib.log cdel) in
       let ss = Sampler.Pcm.fit ~dim ~values:(Array.map Stdlib.log cslew) in
       let sampler = Sampler.create Sampler.Pcm base ~dim ~n in
+      let delays = Array.make n Float.nan in
       let out_slews = Array.make n Float.nan in
-      let delays =
-        Executor.map_float_array exec
-          ~init:(fun () -> Array.make dim 0.0)
-          (fun z i ->
-            Sampler.fill sampler ~index:i z;
-            out_slews.(i) <- Stdlib.exp (Sampler.Pcm.eval ss z);
-            Stdlib.exp (Sampler.Pcm.eval sd z))
-          ~n
-      in
+      Executor.iter_scratch exec
+        ~init:(fun () -> Array.make dim 0.0)
+        (fun z i ->
+          Sampler.fill sampler ~index:i z;
+          out_slews.(i) <- Stdlib.exp (Sampler.Pcm.eval ss z);
+          delays.(i) <- Stdlib.exp (Sampler.Pcm.eval sd z))
+        ~n;
       Metrics.incr m_samples ~by:n_pts;
       Metrics.incr m_pcm_collocations ~by:n_pts;
       if n > n_pts then Metrics.incr m_sampling_saved ~by:(n - n_pts);
@@ -366,48 +402,12 @@ let arc_delays_sampled ?(exec = Executor.default ()) ?kernel ?sampling ?rtol
       | exception Failure _ -> Float.nan
     in
     let drawn, batches =
-      match rtol with
-      | None ->
-        Executor.map_float_range exec ~init task ~out ~lo:0 ~hi:n;
-        (n, 1)
-      | Some rtol ->
-        if rtol <= 0.0 then
-          invalid_arg "Monte_carlo.arc_delays_sampled: rtol must be positive";
-        let min_batch = max 2 min_batch in
-        (* Doubling batches; samples are addressed by absolute index, so
-           an early-stopped population is a bitwise prefix of the full
-           one.  Convergence is never tested below [min_batch] samples. *)
-        let rec loop drawn batches =
-          let target =
-            if drawn = 0 then min n min_batch else min n (2 * drawn)
-          in
-          Executor.map_float_range exec ~init task ~out ~lo:drawn ~hi:target;
-          let batches = batches + 1 in
-          if target >= n then begin
-            trace_batch_event ~out ~target ~converged:false ~capped:true;
-            (target, batches)
-          end
-          else begin
-            let sorted = compact_nan (Array.sub out 0 target) in
-            Array.sort Float.compare sorted;
-            let converged =
-              Array.length sorted >= min_batch
-              && quantiles_converged sorted ~rtol
-            in
-            trace_batch_event ~out ~target ~converged ~capped:false;
-            if converged then (target, batches) else loop target batches
-          end
-        in
-        loop 0 0
+      fill_adaptive ~exec ~init task ~out ~n ~rtol ~min_batch
+        ~who:"Monte_carlo.arc_delays_sampled"
     in
     let delays = if drawn = n then out else Array.sub out 0 drawn in
     let slews = if drawn = n then out_slews else Array.sub out_slews 0 drawn in
     Metrics.incr m_samples ~by:drawn;
-    (match rtol with
-    | Some _ ->
-      Metrics.incr m_sampling_batches ~by:batches;
-      if n > drawn then Metrics.incr m_sampling_saved ~by:(n - drawn)
-    | None -> ());
     if Metrics.enabled () then begin
       let failed =
         Array.fold_left

@@ -70,43 +70,44 @@ val arc_results :
     through {!Cell_sim.run} with the requested [kernel] (default
     {!Cell_sim.default_kernel}[ ()]).  [None] marks a sample whose
     simulation raised [Failure] (non-convergence).  The unplanned
-    sampling primitive — the reference the plan layer is verified
-    against; like every entry point here, the population is bit-identical
-    on every executor backend. *)
-
-val compact : float option array -> float array
-(** Compact an option array of floats without an intermediate list,
-    preserving sample order.  (Exposed for the characterisation and STA
-    layers, which share this compaction.) *)
+    sampling primitive: it builds each sample from scratch ([arc_of],
+    then [Arc.compile] inside {!Cell_sim.run}) where the plan layer
+    refills a skeleton ({!Arc.fill}), and both run the same compiled
+    kernel — so it is the reference the plan layer's construction is
+    verified against.  Like every entry point here, the population is
+    bit-identical on every executor backend. *)
 
 val compact_nan : float array -> float array
 (** Drop NaN sentinels (failed samples) from a plan-layer result buffer,
     preserving sample order; returns a fresh array even when nothing was
     dropped. *)
 
-val quantiles_converged : float array -> rtol:float -> bool
-(** The adaptive stopping criterion: true when both ±3σ empirical
-    quantiles of the ascending-sorted population have a relative
-    {!Nsigma_stats.Quantile.ci} half-width ≤ [rtol]
-    ((hi − lo)/2 ≤ rtol·|q|, 95% order-statistic CI).  Shared by the
-    characterisation and path samplers. *)
-
-val quantile_ci_rel : float array -> float
-(** Worst relative CI half-width over the same tail quantiles — the
-    value {!quantiles_converged} compares against [rtol], reported on
-    [sampling.batch] trace events.  [infinity] when the population is
-    too small (or a quantile is zero) to form a relative width.
-    Diagnostic only: the stopping decision always uses
-    {!quantiles_converged}. *)
-
-val trace_batch_event :
-  out:float array -> target:int -> converged:bool -> capped:bool -> unit
-(** Emit one [sampling.batch] convergence instant (and a
-    [sampling.drawn] counter sample) on the trace for a population of
-    [target] samples in [out] — a no-op when tracing is disabled.
-    Works on copies of the population; never affects the samples or the
-    stopping decision.  Shared by the arc- and path-level adaptive
-    loops. *)
+val fill_adaptive :
+  exec:Nsigma_exec.Executor.t ->
+  init:(unit -> 's) ->
+  ('s -> int -> float) ->
+  out:float array ->
+  n:int ->
+  rtol:float option ->
+  min_batch:int ->
+  who:string ->
+  int * int
+(** The sampling loop shared by the arc- and path-level samplers: write
+    [task scratch i] into [out.(i)] and return [(drawn, batches)].
+    Without [rtol] every [i < n] is drawn in one executor pass
+    ({!Nsigma_exec.Executor.map_float_range}).  With [rtol] the draw
+    proceeds in doubling batches from [max 2 min_batch] and stops once
+    both ±3σ empirical quantiles of the population so far have a
+    relative {!Nsigma_stats.Quantile.ci} half-width ≤ [rtol]
+    ((hi − lo)/2 ≤ rtol·|q|, 95% order-statistic CI) — never below
+    [min_batch] samples, always capped at [n].  Because [task] derives
+    sample [i] from the index alone, an early-stopped population is a
+    bitwise prefix of the full run.  Adaptive runs record their batches
+    and samples saved under [sampling.batches] /
+    [sampling.samples_saved], and emit one [sampling.batch] trace
+    instant per convergence check (from copies; tracing never changes a
+    stopping decision).
+    @raise Invalid_argument (naming [who]) if [rtol <= 0]. *)
 
 val min_adaptive_batch : int
 (** Default minimum batch (256): adaptive sampling never tests
@@ -157,8 +158,8 @@ val arc_delays_sampled :
 
     [rtol] enables adaptive stopping: sampling proceeds in doubling
     batches from [min_batch] (default {!min_adaptive_batch}) and stops
-    as soon as {!quantiles_converged} holds on the population so far —
-    never below [min_batch] samples, always capped at [n].  Because
+    as soon as both ±3σ quantile CIs are within [rtol] ({!fill_adaptive})
+    — never below [min_batch] samples, always capped at [n].  Because
     sample [i] is a pure function of the index, the early-stopped
     population is a bitwise prefix of the full run.  Batches and samples
     saved are recorded under the [sampling.batches] /
@@ -182,5 +183,6 @@ val arc_delays_planned :
     [(delays, output_slews)] in sample order as unboxed float arrays with
     NaN marking non-convergent samples (in both arrays).  Guaranteed
     bit-identical to {!arc_results} on the same (generator state, seed,
-    kernel), for every executor backend — the RNG discipline, draw order
-    and floating-point evaluation order are preserved exactly. *)
+    kernel), for every executor backend — the RNG discipline and draw
+    order are the same, and a filled skeleton is bit-identical to a
+    freshly compiled arc. *)

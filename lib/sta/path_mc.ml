@@ -17,13 +17,9 @@ module Metrics = Nsigma_obs.Metrics
 module Progress = Nsigma_obs.Progress
 
 (* Registered at module init so run reports always carry the path-MC
-   keys, zero-valued when no path study ran.  The sampling.* counters
-   are shared with the characterisation layer (the registry is
-   idempotent by name). *)
+   keys, zero-valued when no path study ran. *)
 let m_samples = Metrics.counter "path_mc.samples"
 let m_non_convergent = Metrics.counter "path_mc.non_convergent"
-let m_sampling_batches = Metrics.counter "sampling.batches"
-let m_sampling_saved = Metrics.counter "sampling.samples_saved"
 
 type sampling_info = {
   si_backend : Sampler.backend;
@@ -66,13 +62,11 @@ let peri_slew_factor = Float.log 4.0 /. 0.6
    driver's output slew PERI-style (root-sum-square with the single-pole
    slew of the wire's Elmore constant).  The cell/wire interaction is
    thus approximated, not co-simulated — which is why [Auto] maps to the
-   transient reference here. *)
-let fast_hop tech arc ~tree ~load_caps ~tap ~input_slew =
-  let loaded =
-    List.fold_left (fun tr (node, c) -> Rctree.add_cap tr node c) tree load_caps
-  in
+   transient reference here.  [loaded] already carries the sink pin
+   caps. *)
+let fast_hop tech c ~loaded ~tap ~input_slew =
   let r =
-    Cell_sim.run ~kernel:Cell_sim.Fast tech arc ~input_slew
+    Cell_sim.run_compiled ~kernel:Cell_sim.Fast tech c ~input_slew
       ~load_cap:(Rctree.total_cap loaded)
   in
   let wire = Elmore.d2m_at loaded tap in
@@ -102,7 +96,12 @@ let simulate_sample_record ?(steps = 200) ?(kernel = Cell_sim.Rk4) tech
       let tree = Wire_gen.vary tech sample design.Design.parasitics.(hop.Path.out_net) in
       let load_caps = Design.sink_caps tech design ~net:hop.Path.out_net in
       let driver_delay, wire, out_slew =
-        if fast then fast_hop tech arc ~tree ~load_caps ~tap ~input_slew:!slew
+        if fast then
+          let loaded =
+            List.fold_left (fun tr (node, c) -> Rctree.add_cap tr node c) tree
+              load_caps
+          in
+          fast_hop tech (Arc.compile tech arc) ~loaded ~tap ~input_slew:!slew
         else begin
           let r =
             Rc_sim.simulate ~steps tech ~driver:arc ~tree ~load_caps
@@ -217,20 +216,8 @@ let simulate_planned ?(steps = 200) ?(kernel = Cell_sim.Rk4) tech (p : plan)
           List.iter
             (fun (node, c) -> Rctree.bump_cap hp.hp_tree node c)
             hp.hp_load_caps;
-          let r =
-            Cell_sim.run_compiled ~kernel:Cell_sim.Fast tech
-              (Arc.skeleton_compiled hp.hp_sk)
-              ~input_slew:!slew
-              ~load_cap:(Rctree.total_cap hp.hp_tree)
-          in
-          let wire = Elmore.d2m_at hp.hp_tree hp.hp_tap in
-          let elmore = Elmore.delay_at hp.hp_tree hp.hp_tap in
-          let wire_slew = peri_slew_factor *. elmore in
-          let out_slew =
-            sqrt ((r.Cell_sim.output_slew *. r.Cell_sim.output_slew)
-                 +. (wire_slew *. wire_slew))
-          in
-          (r.Cell_sim.delay, wire, out_slew)
+          fast_hop tech (Arc.skeleton_compiled hp.hp_sk) ~loaded:hp.hp_tree
+            ~tap:hp.hp_tap ~input_slew:!slew
         end
         else begin
           let r =
@@ -308,55 +295,14 @@ let run ?steps ?kernel ?(n = 1000) ?(seed = 11) ?(exec = Executor.default ())
               tick ();
               r
             in
-            match rtol with
-            | None ->
-              Executor.map_float_range exec ~init task ~out ~lo:0 ~hi:n;
-              (n, 1)
-            | Some rtol ->
-              if rtol <= 0.0 then
-                invalid_arg "Path_mc.run: rtol must be positive";
-              let min_batch = max 2 Monte_carlo.min_adaptive_batch in
-              (* Doubling batches, absolute sample indices: an
-                 early-stopped population is a bitwise prefix of the full
-                 run, and convergence is never tested below
-                 [min_adaptive_batch] samples. *)
-              let rec loop drawn batches =
-                let target =
-                  if drawn = 0 then min n min_batch else min n (2 * drawn)
-                in
-                Executor.map_float_range exec ~init task ~out ~lo:drawn
-                  ~hi:target;
-                let batches = batches + 1 in
-                if target >= n then begin
-                  Monte_carlo.trace_batch_event ~out ~target ~converged:false
-                    ~capped:true;
-                  (target, batches)
-                end
-                else begin
-                  let sorted = Monte_carlo.compact_nan (Array.sub out 0 target) in
-                  Array.sort Float.compare sorted;
-                  let converged =
-                    Array.length sorted >= min_batch
-                    && Monte_carlo.quantiles_converged sorted ~rtol
-                  in
-                  Monte_carlo.trace_batch_event ~out ~target ~converged
-                    ~capped:false;
-                  if converged then (target, batches)
-                  else loop target batches
-                end
-              in
-              loop 0 0))
+            Monte_carlo.fill_adaptive ~exec ~init task ~out ~n ~rtol
+              ~min_batch:Monte_carlo.min_adaptive_batch ~who:"Path_mc.run"))
   in
   let measured = if drawn = n then out else Array.sub out 0 drawn in
   let samples = Monte_carlo.compact_nan measured in
   Metrics.incr m_samples ~by:drawn;
   let failed = drawn - Array.length samples in
   if failed > 0 then Metrics.incr m_non_convergent ~by:failed;
-  (match rtol with
-  | Some _ ->
-    Metrics.incr m_sampling_batches ~by:batches;
-    if n > drawn then Metrics.incr m_sampling_saved ~by:(n - drawn)
-  | None -> ());
   if Array.length samples = 0 then
     failwith (no_valid_samples design path ~n:drawn);
   Array.sort Float.compare samples;

@@ -470,8 +470,8 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
             let z = draw i in
             let run v =
               Arc.fill tech sk v;
-              Cell_sim.run ~kernel:Cell_sim.Fast tech (Arc.skeleton_arc sk)
-                ~input_slew:slew ~load_cap:load
+              Cell_sim.run_compiled ~kernel:Cell_sim.Fast tech
+                (Arc.skeleton_compiled sk) ~input_slew:slew ~load_cap:load
             in
             let r_full = run (Variation.of_deviates tech z) in
             let r_glob =

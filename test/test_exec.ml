@@ -35,20 +35,6 @@ let test_map_array_matches_sequential () =
         (Executor.map_array pool f ~n:1000 = expected))
     pools
 
-let test_map_chunked_matches_sequential () =
-  let f i = float_of_int i ** 1.5 in
-  let expected = Executor.map_chunked Executor.sequential f ~n:777 in
-  List.iter
-    (fun (j, pool) ->
-      List.iter
-        (fun chunk ->
-          Alcotest.(check bool)
-            (Printf.sprintf "pool %d chunk %d = sequential" j chunk)
-            true
-            (Executor.map_chunked pool ~chunk f ~n:777 = expected))
-        [ 1; 7; 64; 2000 ])
-    pools
-
 let test_empty_and_small () =
   let pool = Executor.domain_pool ~jobs:4 () in
   Alcotest.(check int) "n=0" 0 (Array.length (Executor.map_array pool (fun i -> i) ~n:0));
@@ -209,8 +195,6 @@ let () =
         [
           Alcotest.test_case "map_array matches sequential" `Quick
             test_map_array_matches_sequential;
-          Alcotest.test_case "map_chunked matches sequential" `Quick
-            test_map_chunked_matches_sequential;
           Alcotest.test_case "empty and small inputs" `Quick test_empty_and_small;
           Alcotest.test_case "jobs accessor" `Quick test_jobs_accessor;
         ] );

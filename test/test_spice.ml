@@ -96,6 +96,59 @@ let test_pull_up_symmetry () =
     (Arc.current tech up ~vin:0.0 ~vout:0.3 > 0.0);
   check_close "pull-up done at rail" 0.0 (Arc.current tech up ~vin:0.0 ~vout:0.6)
 
+(* The sampling kernels evaluate the compiled arc through the hoisted
+   forms only: [drive_settled] once the input has settled and
+   [set_gate]+[drive_gated] during the ramp.  Both must reproduce
+   [drive] bit for bit, for every library arc under variation and over
+   the whole travel/gate range, rails included. *)
+let test_hoisted_drive_bitwise () =
+  let module Cell = Nsigma_liberty.Cell in
+  let vdd = tech.T.vdd_nominal in
+  let sweep = List.map (fun f -> f *. vdd) [ 0.0; 0.05; 0.2; 0.37; 0.5; 0.81; 0.95; 1.0 ] in
+  let bits x = Int64.bits_of_float x in
+  let same what expected actual =
+    if not (Int64.equal (bits expected) (bits actual)) then
+      Alcotest.failf "%s: %h vs %h" what expected actual
+  in
+  let base = Rng.create ~seed:23 in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun strength ->
+          let cell = Cell.make kind ~strength in
+          List.iter
+            (fun edge ->
+              let sk = Cell.plan tech cell ~output_edge:edge in
+              for s = 0 to 3 do
+                Arc.fill tech sk (Variation.draw tech (Rng.derive base ~index:s));
+                let c = Arc.skeleton_compiled sk in
+                let where = Printf.sprintf "%s %s sample %d" (Cell.name cell)
+                    (match edge with `Rise -> "rise" | `Fall -> "fall") s
+                in
+                List.iter
+                  (fun travel ->
+                    same
+                      (Printf.sprintf "%s drive_settled travel=%g" where travel)
+                      (Arc.drive c ~gate:vdd ~travel)
+                      (Arc.drive_settled c ~travel))
+                  sweep;
+                List.iter
+                  (fun gate ->
+                    Arc.set_gate c ~gate;
+                    List.iter
+                      (fun travel ->
+                        same
+                          (Printf.sprintf "%s drive_gated gate=%g travel=%g" where
+                             gate travel)
+                          (Arc.drive c ~gate ~travel)
+                          (Arc.drive_gated c ~travel))
+                      sweep)
+                  sweep
+              done)
+            [ `Rise; `Fall ])
+        Cell.standard_strengths)
+    Cell.all_kinds
+
 (* ---------- Cell_sim ---------- *)
 
 let fo4_load = 4.0 *. (tech.T.width_n +. tech.T.width_p) *. tech.T.cap_gate_per_width
@@ -343,6 +396,8 @@ let () =
           Alcotest.test_case "stack divides drive" `Quick test_stack_depth_halves_current;
           Alcotest.test_case "non-negative" `Quick test_arc_current_nonnegative;
           Alcotest.test_case "pull-up" `Quick test_pull_up_symmetry;
+          Alcotest.test_case "hoisted drive = drive (bitwise)" `Quick
+            test_hoisted_drive_bitwise;
         ] );
       ( "cell_sim",
         [
