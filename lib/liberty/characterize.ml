@@ -70,9 +70,24 @@ let sigma_probs =
   List.map (fun n -> Quantile.probability_of_sigma (float_of_int n)) Quantile.sigma_levels
   |> Array.of_list
 
+let check_axis name a =
+  let ok = ref (Array.length a > 0) in
+  Array.iteri
+    (fun i v ->
+      if not (Float.is_finite v && (i = 0 || v > a.(i - 1))) then ok := false)
+    a;
+  if not !ok then
+    invalid_arg
+      (Printf.sprintf
+         "Characterize: the %s axis must be non-empty, finite and strictly \
+          increasing"
+         name)
+
 let characterize ?(n_mc = 2000) ?(seed = 1) ?(slews = default_slews) ?loads
     ?(exec = Executor.default ()) ?kernel ?sampling ?rtol tech cell ~edge =
   let loads = match loads with Some l -> l | None -> loads_for tech cell in
+  check_axis "slew" slews;
+  check_axis "load" loads;
   let kernel =
     match kernel with Some k -> k | None -> Cell_sim.default_kernel ()
   in
@@ -196,12 +211,23 @@ let nearest axis v =
 let point_at table ~slew ~load =
   table.points.(nearest table.slews slew).(nearest table.loads load)
 
-let grid_of table f =
-  Interpolate.Grid2d.create ~xs:table.slews ~ys:table.loads
-    ~values:(Array.map (Array.map f) table.points)
+(* Bilinear lookups straight from the points grid.  [Grid2d.locate] and
+   [Grid2d.blend] are [Grid2d.eval]'s own arithmetic, so every value is
+   bit-identical to building a [Grid2d] of that field and evaluating it
+   — without building one, and with the four moments sharing one
+   stencil.  The axes were checked once, where the table was made
+   ([characterize], [Library.load]), so no lookup re-validates them. *)
+let stencil table ~slew ~load =
+  Interpolate.Grid2d.locate ~xs:table.slews ~ys:table.loads slew load
+
+let blend table (s : Interpolate.Grid2d.stencil) f =
+  let row0 = table.points.(s.i0) and row1 = table.points.(s.i1) in
+  Interpolate.Grid2d.blend s (f row0.(s.j0)) (f row0.(s.j1)) (f row1.(s.j0))
+    (f row1.(s.j1))
 
 let moments_at table ~slew ~load : Moments.summary =
-  let eval f = Interpolate.Grid2d.eval (grid_of table f) slew load in
+  let s = stencil table ~slew ~load in
+  let eval f = blend table s f in
   {
     n = table.n_mc;
     mean = eval (fun p -> p.moments.Moments.mean);
@@ -211,7 +237,7 @@ let moments_at table ~slew ~load : Moments.summary =
   }
 
 let out_slew_at table ~slew ~load =
-  Interpolate.Grid2d.eval (grid_of table (fun p -> p.mean_out_slew)) slew load
+  blend table (stencil table ~slew ~load) (fun p -> p.mean_out_slew)
 
 let quantile_at table ~slew ~load ~sigma =
   let idx =
@@ -219,7 +245,7 @@ let quantile_at table ~slew ~load ~sigma =
     | Some i -> i
     | None -> invalid_arg "Characterize.quantile_at: sigma outside -3..3"
   in
-  Interpolate.Grid2d.eval (grid_of table (fun p -> p.quantiles.(idx))) slew load
+  blend table (stencil table ~slew ~load) (fun p -> p.quantiles.(idx))
 
 let reference_point table =
   let close a b = Float.abs (a -. b) < 1e-18 in

@@ -63,7 +63,8 @@ val characterize :
   edge:[ `Rise | `Fall ] ->
   table
 (** Run the characterisation ([n_mc] defaults to 2000 samples per grid
-    point; [loads] defaults to {!loads_for}).  Grid points are
+    point; [loads] defaults to {!loads_for}).  Both axes go through
+    {!check_axis} before any sampling.  Grid points are
     independent work items scheduled on [exec] (default
     [Executor.default ()]), each deriving its sample stream from its own
     grid index: the table is bit-identical for a fixed seed on every
@@ -82,6 +83,13 @@ val characterize :
     capped at [n_mc] samples.  Both choices are recorded in the table
     and in the .lvf cache fingerprint. *)
 
+val check_axis : string -> float array -> unit
+(** [check_axis name a] accepts a table axis that is non-empty, finite
+    and strictly increasing — what bilinear lookup needs.  Every table
+    is checked once where it is made ({!characterize},
+    [Library.load]), so the lookups below never re-check.
+    @raise Invalid_argument naming the axis otherwise. *)
+
 val grid_signature : string
 (** Canonical dump of the characterisation-grid constants (default slew
     axis, FO4 load fractions, reference condition, sigma levels).  Mixed
@@ -93,14 +101,20 @@ val point_at : table -> slew:float -> load:float -> point
 
 val moments_at : table -> slew:float -> load:float -> Nsigma_stats.Moments.summary
 (** Bilinear interpolation of each moment across the grid — the
-    LVF-style lookup a conventional tool would use. *)
+    LVF-style lookup a conventional tool would use.  Points outside the
+    grid clamp to its edges.  The lookups read [points] in place with
+    {!Nsigma_stats.Interpolate.Grid2d.locate}/[blend], so each value is
+    bit-identical to [Grid2d.eval] on a [Grid2d] of that field, without
+    building one. *)
 
 val out_slew_at : table -> slew:float -> load:float -> float
 (** Bilinear interpolation of the mean output slew (for slew
-    propagation in STA). *)
+    propagation in STA), same arithmetic as {!moments_at}. *)
 
 val quantile_at : table -> slew:float -> load:float -> sigma:int -> float
-(** Bilinear interpolation of an empirical sigma-level quantile. *)
+(** Bilinear interpolation of an empirical sigma-level quantile, same
+    arithmetic as {!moments_at}.
+    @raise Invalid_argument if [sigma] is outside -3..3. *)
 
 val reference_point : table -> point
 (** The grid point at (S_ref, C_ref).

@@ -192,6 +192,24 @@ let load ?expect_kernel ?expect_sampling tech path =
       let file_kernel = ref None in
       let file_sampling = ref None in
       let fail lineno msg = failwith (Printf.sprintf "%s:%d: %s" path lineno msg) in
+      let number lineno w =
+        match float_of_string_opt w with
+        | Some v -> v
+        | None -> fail lineno (Printf.sprintf "bad number %S" w)
+      in
+      let count lineno w =
+        match int_of_string_opt w with
+        | Some v -> v
+        | None -> fail lineno (Printf.sprintf "bad integer %S" w)
+      in
+      (* Axes are checked here, at the table boundary, so a hostile
+         file fails its load instead of an analysis midway. *)
+      let axis lineno name ws =
+        let a = Array.of_list (List.map (number lineno) ws) in
+        (try Characterize.check_axis name a
+         with Invalid_argument msg -> fail lineno msg);
+        a
+      in
       let finish lineno =
         match !current with
         | None -> ()
@@ -257,7 +275,7 @@ let load ?expect_kernel ?expect_sampling tech path =
                "legacy library format (v3) predates the sampling layer; \
                 re-characterise to refresh the cache"
            | [ "NSIGMA_LIB"; "4"; _name; vdd; kernel; sampling; rtol; fp ] ->
-             let vdd = float_of_string vdd in
+             let vdd = number !lineno vdd in
              if Float.abs (vdd -. tech.Technology.vdd_nominal) > 1e-3 then
                fail !lineno
                  (Printf.sprintf "library characterised at %.3f V, technology is %.3f V"
@@ -309,25 +327,34 @@ let load ?expect_kernel ?expect_sampling tech path =
                  {
                    p_cell = Cell.of_name cell_name;
                    p_edge;
-                   p_n_mc = int_of_string n_mc;
+                   p_n_mc = count !lineno n_mc;
                    p_slews = [||];
                    p_loads = [||];
                    p_points = [];
                  }
            | "SLEWS" :: rest ->
              (match !current with
-             | Some p -> p.p_slews <- Array.of_list (List.map float_of_string rest)
+             | Some p when p.p_points <> [] -> fail !lineno "SLEWS after POINT"
+             | Some p -> p.p_slews <- axis !lineno "slew" rest
              | None -> fail !lineno "SLEWS outside TABLE")
            | "LOADS" :: rest ->
              (match !current with
-             | Some p -> p.p_loads <- Array.of_list (List.map float_of_string rest)
+             | Some p when p.p_points <> [] -> fail !lineno "LOADS after POINT"
+             | Some p -> p.p_loads <- axis !lineno "load" rest
              | None -> fail !lineno "LOADS outside TABLE")
            | "POINT" :: i :: j :: mean :: std :: skew :: kurt :: rest ->
              (match !current with
              | None -> fail !lineno "POINT outside TABLE"
              | Some p ->
-               let i = int_of_string i and j = int_of_string j in
-               let values = List.map float_of_string rest in
+               let i = count !lineno i and j = count !lineno j in
+               if
+                 i < 0 || i >= Array.length p.p_slews || j < 0
+                 || j >= Array.length p.p_loads
+               then
+                 fail !lineno
+                   (Printf.sprintf "POINT %d %d outside the %dx%d SLEWS/LOADS grid"
+                      i j (Array.length p.p_slews) (Array.length p.p_loads));
+               let values = List.map (number !lineno) rest in
                let nq = List.length Nsigma_stats.Quantile.sigma_levels in
                if List.length values <> nq + 1 then fail !lineno "bad POINT arity";
                let quantiles = Array.of_list (List.filteri (fun k _ -> k < nq) values) in
@@ -339,10 +366,10 @@ let load ?expect_kernel ?expect_sampling tech path =
                    moments =
                      {
                        Moments.n = p.p_n_mc;
-                       mean = float_of_string mean;
-                       std = float_of_string std;
-                       skewness = float_of_string skew;
-                       kurtosis = float_of_string kurt;
+                       mean = number !lineno mean;
+                       std = number !lineno std;
+                       skewness = number !lineno skew;
+                       kurtosis = number !lineno kurt;
                      };
                    quantiles;
                    mean_out_slew;

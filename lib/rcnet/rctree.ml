@@ -108,12 +108,20 @@ let path_to_root t i =
   let rec go acc j = if j = -1 then List.rev acc else go (j :: acc) t.nodes.(j).parent in
   go [] i
 
-let downstream_cap t =
+let downstream_cap_into t down =
   let n = n_nodes t in
-  let down = Array.init n (fun i -> t.nodes.(i).cap) in
+  if Array.length down < n then
+    invalid_arg "Rctree.downstream_cap_into: array shorter than the tree";
+  for i = 0 to n - 1 do
+    down.(i) <- t.nodes.(i).cap
+  done;
   for i = n - 1 downto 1 do
     down.(t.nodes.(i).parent) <- down.(t.nodes.(i).parent) +. down.(i)
-  done;
+  done
+
+let downstream_cap t =
+  let down = Array.make (n_nodes t) 0.0 in
+  downstream_cap_into t down;
   down
 
 let ladder ~segments ~res_per_seg ~cap_per_seg =

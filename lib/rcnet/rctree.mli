@@ -72,6 +72,11 @@ val path_to_root : t -> int -> int list
 val downstream_cap : t -> float array
 (** Per-node capacitance of the subtree rooted there (including self). *)
 
+val downstream_cap_into : t -> float array -> unit
+(** {!downstream_cap} written into the first [n_nodes t] slots of a
+    caller-owned array — the same additions in the same order.
+    @raise Invalid_argument if the array is shorter than the tree. *)
+
 val ladder : segments:int -> res_per_seg:float -> cap_per_seg:float -> t
 (** Uniform RC ladder with a single tap at the far end; node capacitance
     is split half at each segment end in the usual π fashion. *)

@@ -429,55 +429,55 @@ let handle t ~session line =
     count_request t;
     P.to_line (error_response t P.Jnull msg)
 
-(* One admission batch: requests that became complete in the same
-   readiness cycle.  FIFO per connection (retime ordering); read-only
-   requests asking the same question are answered once and re-issued
-   under each requester's id. *)
-let process_batch t requests =
-  Metrics.set_gauge g_inflight (float_of_int (List.length requests));
-  let memo : (string, (string * P.jvalue) list) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let responses =
-    List.map
-      (fun (session, line) ->
-        match P.parse_line line with
-        | exception P.Protocol_error msg ->
-          count_request t;
-          (session, P.to_line (error_response t P.Jnull msg))
-        | fields ->
-          let resp =
-            if session_dependent t ~session fields then
-              fst (respond_fields t ~session fields)
-            else begin
-              let signature = P.signature fields in
-              match Hashtbl.find_opt memo signature with
-              | Some body ->
-                count_request t;
-                t.n_batched <- t.n_batched + 1;
-                Metrics.incr m_batched;
-                ("id", request_id fields) :: body
-              | None ->
-                let resp, cacheable = respond_fields t ~session fields in
-                if cacheable then
-                  Hashtbl.add memo signature (List.tl resp);
-                resp
-            end
-          in
-          (session, P.to_line resp))
-      requests
-  in
-  Metrics.set_gauge g_inflight 0.0;
-  responses
-
-(* ---- event loop ---- *)
-
 type conn = {
   fd : Unix.file_descr;
   session : int;
   dec : P.decoder;
   mutable alive : bool;
 }
+
+(* One admission batch: requests that became complete in the same
+   readiness cycle.  FIFO per connection (retime ordering); read-only
+   requests asking the same question are answered once and re-issued
+   under each requester's id.  [live] is asked before each request: a
+   connection that has gone gets no answer and costs no computation. *)
+let process_batch t ~live requests =
+  Metrics.set_gauge g_inflight (float_of_int (List.length requests));
+  let memo : (string, (string * P.jvalue) list) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let respond session line =
+    match P.parse_line line with
+    | exception P.Protocol_error msg ->
+      count_request t;
+      error_response t P.Jnull msg
+    | fields ->
+      if session_dependent t ~session fields then
+        fst (respond_fields t ~session fields)
+      else begin
+        let signature = P.signature fields in
+        match Hashtbl.find_opt memo signature with
+        | Some body ->
+          count_request t;
+          t.n_batched <- t.n_batched + 1;
+          Metrics.incr m_batched;
+          ("id", request_id fields) :: body
+        | None ->
+          let resp, cacheable = respond_fields t ~session fields in
+          if cacheable then Hashtbl.add memo signature (List.tl resp);
+          resp
+      end
+  in
+  let responses =
+    List.filter_map
+      (fun (c, line) ->
+        if live c then Some (c, P.to_line (respond c.session line)) else None)
+      requests
+  in
+  Metrics.set_gauge g_inflight 0.0;
+  responses
+
+(* ---- event loop ---- *)
 
 let write_all fd s =
   let len = String.length s in
@@ -548,16 +548,29 @@ let run t ~socket ?(framing = P.Jsonl) () =
         pull [])
       ordered
   in
+  (* Whether a peer is still connected, asked before each request of a
+     batch: one non-blocking poll, and if the socket is readable one
+     read into the decoder (complete requests stay queued for the next
+     drain, in order) — a hang-up shows as end of file and closes the
+     connection.  A client that leaves mid-pipeline thus costs no
+     further computation, and a SIGTERM (checked between batches)
+     waits only for the request in flight. *)
+  let peer_alive c =
+    c.alive
+    && begin
+      (match Unix.select [ c.fd ] [] [] 0.0 with
+      | [], _, _ -> ()
+      | _ -> read_conn c
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      c.alive
+    end
+  in
   let answer requests =
-    let by_conn =
-      process_batch t (List.map (fun (c, line) -> (c.session, line)) requests)
-    in
-    List.iter2
-      (fun (c, _) (_, resp) ->
-        if c.alive then
-          try write_all c.fd (P.encode framing resp)
-          with Unix.Unix_error _ -> close_conn c)
-      requests by_conn
+    process_batch t ~live:peer_alive requests
+    |> List.iter (fun (c, resp) ->
+           if c.alive then
+             try write_all c.fd (P.encode framing resp)
+             with Unix.Unix_error _ -> close_conn c)
   in
   let rec loop () =
     if Atomic.get stop then ()

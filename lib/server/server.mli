@@ -85,8 +85,12 @@ val drop_session : t -> session:int -> unit
 val run :
   t -> socket:string -> ?framing:Protocol.framing -> unit -> unit
 (** Serve on a Unix-domain socket until SIGTERM/SIGINT, then drain:
-    stop accepting, answer every fully-received request, close
-    connections, unlink the socket and return.  Single-threaded
+    stop accepting, answer every fully-received request whose peer is
+    still connected, close connections, unlink the socket and return.
+    Before each request of a batch the daemon polls its connection, so
+    a request whose client has hung up is skipped, never computed —
+    shutdown waits at most for the request in flight when no live
+    client is left.  Single-threaded
     [select] event loop; requests that arrive in the same readiness
     cycle are admitted as one batch, and read-only requests with equal
     {!Protocol.signature}s in a batch are coalesced into one

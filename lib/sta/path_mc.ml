@@ -63,14 +63,16 @@ let peri_slew_factor = Float.log 4.0 /. 0.6
    slew of the wire's Elmore constant).  The cell/wire interaction is
    thus approximated, not co-simulated — which is why [Auto] maps to the
    transient reference here.  [loaded] already carries the sink pin
-   caps. *)
-let fast_hop tech c ~loaded ~tap ~input_slew =
+   caps; [moments] is the caller's scratch for the one Elmore/D2M pass
+   over it. *)
+let fast_hop tech c ~loaded ~moments ~tap ~input_slew =
   let r =
     Cell_sim.run_compiled ~kernel:Cell_sim.Fast tech c ~input_slew
       ~load_cap:(Rctree.total_cap loaded)
   in
-  let wire = Elmore.d2m_at loaded tap in
-  let elmore = Elmore.delay_at loaded tap in
+  Elmore.moments_into loaded moments;
+  let wire = Elmore.d2m_of moments tap in
+  let elmore = moments.Elmore.elmore.(tap) in
   let wire_slew = peri_slew_factor *. elmore in
   let out_slew =
     sqrt ((r.Cell_sim.output_slew *. r.Cell_sim.output_slew)
@@ -101,7 +103,9 @@ let simulate_sample_record ?(steps = 200) ?(kernel = Cell_sim.Rk4) tech
             List.fold_left (fun tr (node, c) -> Rctree.add_cap tr node c) tree
               load_caps
           in
-          fast_hop tech (Arc.compile tech arc) ~loaded ~tap ~input_slew:!slew
+          fast_hop tech (Arc.compile tech arc) ~loaded
+            ~moments:(Elmore.scratch (Rctree.n_nodes loaded))
+            ~tap ~input_slew:!slew
         else begin
           let r =
             Rc_sim.simulate ~steps tech ~driver:arc ~tree ~load_caps
@@ -140,6 +144,7 @@ type hop_plan = {
   hp_tree : Rctree.t;  (* private copy, refilled per sample *)
   hp_res : float array;  (* refill scratch, length n_nodes *)
   hp_cap : float array;
+  hp_moments : Elmore.scratch;  (* the fast hop's Elmore/D2M pass *)
   hp_load_caps : (int * float) list;  (* sink pin caps, attach order *)
   hp_tap : int;  (* exit tap node *)
   hp_tap_pos : int;  (* index of hp_tap in the tree's taps array *)
@@ -173,6 +178,7 @@ let plan_of tech (design : Design.t) (path : Path.t) =
           hp_tree = Rctree.copy base;
           hp_res = Array.make n_nodes 0.0;
           hp_cap = Array.make n_nodes 0.0;
+          hp_moments = Elmore.scratch n_nodes;
           hp_load_caps = Design.sink_caps tech design ~net:hop.Path.out_net;
           hp_tap = tap;
           hp_tap_pos = tap_pos;
@@ -217,7 +223,7 @@ let simulate_planned ?(steps = 200) ?(kernel = Cell_sim.Rk4) tech (p : plan)
             (fun (node, c) -> Rctree.bump_cap hp.hp_tree node c)
             hp.hp_load_caps;
           fast_hop tech (Arc.skeleton_compiled hp.hp_sk) ~loaded:hp.hp_tree
-            ~tap:hp.hp_tap ~input_slew:!slew
+            ~moments:hp.hp_moments ~tap:hp.hp_tap ~input_slew:!slew
         end
         else begin
           let r =

@@ -382,6 +382,12 @@ let arc_response_of_string s =
       }
   end
 
+(* One net's wire mini-MC result, indexed by tap slot. *)
+type wire_net = {
+  w_slot : int array;  (* node -> slot of its first tap, -1 if none *)
+  w_delays : delay array;  (* per tap slot, the net's taps order *)
+}
+
 type handle = {
   h_provider : provider;
   h_invalidate_net : int -> unit;
@@ -585,61 +591,78 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
   in
   (* Per-net wire distributions: a mini-MC over the net's varied RC tree
      (local BEOL deviates only, exactly Wire_gen.vary) evaluated with
-     the same D2M-at-tap metric as Path_mc's fast hop.  One pass fills
-     every tap of the net; the mean Elmore constant per tap feeds the
-     PERI slew degradation. *)
-  let wire_cache : (int, (int * dist * float) array) Hashtbl.t =
-    Hashtbl.create 64
-  in
+     the same D2M-at-tap metric as Path_mc's fast hop.  Each sample
+     refills a worker-owned copy of the tree in place — Wire_gen.vary_into
+     draws vary's deviates in vary's order, bump_cap adds the pin caps
+     in add_cap's order — and runs one Elmore pass that every tap of the
+     net reads; the mean Elmore constant per tap feeds the PERI slew
+     degradation.  A net's entry is indexed by tap slot ([w_slot] maps a
+     node to the slot of its first tap, -1 elsewhere), so a sink lookup
+     is O(1). *)
+  let wire_cache : (int, wire_net) Hashtbl.t = Hashtbl.create 64 in
   let wire_dists net =
     match Hashtbl.find_opt wire_cache net with
-    | Some arr -> arr
+    | Some w -> w
     | None ->
-      let arr =
+      let w =
         Metrics.span "sta.ssta.wire_mc" @@ fun () ->
         let base = design.Design.parasitics.(net) in
         let loads = Design.sink_caps tech design ~net in
         let taps = base.Rctree.taps in
+        let nt = Array.length taps in
+        let n_nodes = Rctree.n_nodes base in
         let rng = Rng.derive wire_rng ~index:net in
-        let accs = Array.map (fun _ -> Moments.empty) taps in
-        let elmore_sum = Array.map (fun _ -> 0.0) taps in
-        (* Per-sample tap rows from the executor, folded into the moment
-           accumulators in index order on this domain — bit-identical to
-           the sequential loop on every backend. *)
-        let rows =
-          Executor.map_array exec
-            (fun i ->
-              let v = Variation.draw tech (Rng.derive rng ~index:i) in
-              let varied = Wire_gen.vary tech v base in
-              let loaded =
-                List.fold_left
-                  (fun tr (node, c) -> Rctree.add_cap tr node c)
-                  varied loads
-              in
-              Array.map
-                (fun tap ->
-                  (Elmore.d2m_at loaded tap, Elmore.delay_at loaded tap))
-                taps)
-            ~n:wire_samples
-        in
-        Array.iter
-          (fun row ->
-            Array.iteri
-              (fun j (d2m, elm) ->
-                accs.(j) <- Moments.add accs.(j) d2m;
-                elmore_sum.(j) <- elmore_sum.(j) +. elm)
-              row)
-          rows;
+        (* Per-sample tap values land in index-addressed arrays (each
+           worker writes disjoint slots), and the moment accumulators
+           fold over them in index order on this domain afterwards —
+           bit-identical to the sequential loop on every backend.  One
+           row per tap keeps each array short enough for the minor heap:
+           a flat samples x taps array would go straight to the major
+           heap on every net with three or more taps, as garbage the
+           major GC reclaims late. *)
+        let d2ms = Array.init nt (fun _ -> Array.make wire_samples 0.0) in
+        let elms = Array.init nt (fun _ -> Array.make wire_samples 0.0) in
+        Executor.iter_scratch exec
+          ~init:(fun () ->
+            ( Rctree.copy base,
+              Array.make n_nodes 0.0,
+              Array.make n_nodes 0.0,
+              Elmore.scratch n_nodes ))
+          (fun (tree, res, cap, moments) i ->
+            let v = Variation.draw tech (Rng.derive rng ~index:i) in
+            Wire_gen.vary_into tech v ~base ~into:tree ~res ~cap;
+            List.iter (fun (node, c) -> Rctree.bump_cap tree node c) loads;
+            Elmore.moments_into tree moments;
+            for j = 0 to nt - 1 do
+              d2ms.(j).(i) <- Elmore.d2m_of moments taps.(j);
+              elms.(j).(i) <- moments.Elmore.elmore.(taps.(j))
+            done)
+          ~n:wire_samples;
+        let accs = Array.make nt Moments.empty in
+        let elmore_sum = Array.make nt 0.0 in
+        for j = 0 to nt - 1 do
+          for i = 0 to wire_samples - 1 do
+            accs.(j) <- Moments.add accs.(j) d2ms.(j).(i);
+            elmore_sum.(j) <- elmore_sum.(j) +. elms.(j).(i)
+          done
+        done;
         Metrics.incr m_wire_mc ~by:wire_samples;
-        Array.mapi
-          (fun j tap ->
-            ( tap,
-              of_summary ~global_frac:0.0 (Moments.summary accs.(j)),
-              elmore_sum.(j) /. float_of_int wire_samples ))
-          taps
+        let w_slot = Array.make n_nodes (-1) in
+        for j = nt - 1 downto 0 do
+          w_slot.(taps.(j)) <- j
+        done;
+        {
+          w_slot;
+          w_delays =
+            Array.init nt (fun j ->
+                {
+                  dd = of_summary ~global_frac:0.0 (Moments.summary accs.(j));
+                  d_slew_tc = elmore_sum.(j) /. float_of_int wire_samples;
+                });
+        }
       in
-      Hashtbl.add wire_cache net arr;
-      arr
+      Hashtbl.add wire_cache net w;
+      w
   in
   (* Slew sensitivities per (net, edge), filled as the topological walk
      reaches each driver — downstream lookups always find their inputs
@@ -695,15 +718,31 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
       /. (s.(j + 1) -. s.(j - 1))
     end
   in
+  (* Every instance of a (cell, edge) asks for the same LVF table and
+     regression: resolve both once, keyed structurally, so a hit builds
+     no string key ([Library.find] and [arc_response] format theirs only
+     on a miss). *)
+  let arc_tab : (Cell.t * int, Characterize.table * arc_response) Hashtbl.t =
+    Hashtbl.create 32
+  in
+  let resolve (cell : Cell.t) edge =
+    let key = (cell, Engine_core.edge_index edge) in
+    match Hashtbl.find_opt arc_tab key with
+    | Some r -> r
+    | None ->
+      let tbl = Library.find lib cell ~edge:(edge_of edge) in
+      let r = (tbl, arc_response cell edge) in
+      Hashtbl.add arc_tab key r;
+      r
+  in
   let provider =
   {
     Engine_core.m_label = "ssta-lvf";
     m_cell_delay =
       (fun gate ~edge ~in_net ~in_edge ~input_slew ~load_cap ->
-        let cell = gate.Netlist.cell in
-        let tbl = Library.find lib cell ~edge:(edge_of edge) in
+        let tbl, resp = resolve gate.Netlist.cell edge in
         let s = Characterize.moments_at tbl ~slew:input_slew ~load:load_cap in
-        let base = dist_of_table (arc_response cell edge) s in
+        let base = dist_of_table resp s in
         let dd =
           match incoming ~in_net ~in_edge ~input_slew with
           | None -> base
@@ -740,11 +779,9 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
         { dd; d_slew_tc = 0.0 });
     m_cell_out_slew =
       (fun gate ~edge ~in_net ~in_edge ~input_slew ~load_cap ->
-        let cell = gate.Netlist.cell in
-        let tbl = Library.find lib cell ~edge:(edge_of edge) in
+        let tbl, resp = resolve gate.Netlist.cell edge in
         let slew_at ~slew = Characterize.out_slew_at tbl ~slew ~load:load_cap in
         let out = slew_at ~slew:input_slew in
-        let resp = arc_response cell edge in
         (* Direct slew response measured at the reference point, rescaled
            proportionally to the operating-point slew. *)
         let scale =
@@ -775,10 +812,12 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
         out);
     m_wire_delay =
       (fun ~net ~driver:_ ~sink:_ ~tree:_ ~tap ->
-        let arr = wire_dists net in
-        match Array.find_opt (fun (t, _, _) -> t = tap) arr with
-        | Some (_, d, elm) -> { dd = d; d_slew_tc = elm }
-        | None -> { dd = zero_dist; d_slew_tc = 0.0 });
+        let w = wire_dists net in
+        let slot =
+          if tap >= 0 && tap < Array.length w.w_slot then w.w_slot.(tap) else -1
+        in
+        if slot >= 0 then w.w_delays.(slot)
+        else { dd = zero_dist; d_slew_tc = 0.0 });
     m_wire_slew_degrade =
       (fun ~wire_delay ~slew_at_root ->
         let ws = peri_slew_factor *. wire_delay.d_slew_tc in

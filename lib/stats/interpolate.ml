@@ -46,19 +46,30 @@ module Grid2d = struct
       if b = a then 0.0 else Float.max 0.0 (Float.min 1.0 ((v -. a) /. (b -. a)))
     end
 
-  let eval t x y =
-    let i = segment t.xs x and j = segment t.ys y in
-    let fx = frac t.xs i x and fy = frac t.ys j y in
-    let i1 = min (i + 1) (Array.length t.xs - 1) in
-    let j1 = min (j + 1) (Array.length t.ys - 1) in
-    let v00 = t.values.(i).(j)
-    and v01 = t.values.(i).(j1)
-    and v10 = t.values.(i1).(j)
-    and v11 = t.values.(i1).(j1) in
+  type stencil = { i0 : int; i1 : int; j0 : int; j1 : int; fx : float; fy : float }
+
+  let locate ~xs ~ys x y =
+    let i = segment xs x and j = segment ys y in
+    {
+      i0 = i;
+      i1 = min (i + 1) (Array.length xs - 1);
+      j0 = j;
+      j1 = min (j + 1) (Array.length ys - 1);
+      fx = frac xs i x;
+      fy = frac ys j y;
+    }
+
+  let blend s v00 v01 v10 v11 =
+    let fx = s.fx and fy = s.fy in
     ((1.0 -. fx) *. (1.0 -. fy) *. v00)
     +. ((1.0 -. fx) *. fy *. v01)
     +. (fx *. (1.0 -. fy) *. v10)
     +. (fx *. fy *. v11)
+
+  let eval t x y =
+    let s = locate ~xs:t.xs ~ys:t.ys x y in
+    let row0 = t.values.(s.i0) and row1 = t.values.(s.i1) in
+    blend s row0.(s.j0) row0.(s.j1) row1.(s.j0) row1.(s.j1)
 
   let xs t = t.xs
   let ys t = t.ys

@@ -26,6 +26,32 @@ module Grid2d : sig
   val xs : t -> float array
   val ys : t -> float array
   val values : t -> float array array
+
+  (** {2 Grid-free access}
+
+      {!eval} is [locate] then [blend] on the four bracketing values.
+      A caller that keeps its values in another shape (a grid of
+      records, several quantities on one grid) can run the same
+      arithmetic without building a [t]: the result is bit-identical to
+      {!eval} on a grid holding those values. *)
+
+  type stencil = {
+    i0 : int;  (** lower x knot *)
+    i1 : int;  (** upper x knot ([i0] at the last knot) *)
+    j0 : int;  (** lower y knot *)
+    j1 : int;  (** upper y knot *)
+    fx : float;  (** clamped position between [i0] and [i1], in [0, 1] *)
+    fy : float;
+  }
+
+  val locate : xs:float array -> ys:float array -> float -> float -> stencil
+  (** Bracketing knots and weights of (x, y), clamped to the grid.  The
+      axes are not checked here: they must be non-empty and strictly
+      increasing, as {!create} requires. *)
+
+  val blend : stencil -> float -> float -> float -> float -> float
+  (** [blend s v00 v01 v10 v11] with [vab] the value at knot
+      ([i_a], [j_b]). *)
 end
 
 (** Fitted polynomial surfaces over (ΔS, ΔC) of the exact shapes used in

@@ -10,6 +10,8 @@ module Sampler = Nsigma_stats.Sampler
 module Cell_sim = Nsigma_spice.Cell_sim
 module Store = Nsigma_liberty.Store
 module Metrics = Nsigma_obs.Metrics
+module Rng = Nsigma_stats.Rng
+module Grid2d = Nsigma_stats.Interpolate.Grid2d
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps *. (1.0 +. Float.abs expected) then
@@ -146,6 +148,113 @@ let test_moments_at_matches_grid_point () =
   let m = Ch.moments_at table ~slew:p.Ch.slew ~load:p.Ch.load in
   check_close ~eps:1e-9 "interp at node = node" p.Ch.moments.Moments.mean
     m.Moments.mean
+
+(* The grid-free lookups against the Grid2d they replaced: a test-local
+   copy of building one Grid2d per field and evaluating it, compared bit
+   for bit at every knot, at interior points and at points clamped from
+   outside the grid, on random tables including one-knot axes. *)
+let synthetic_table g ~slews ~loads =
+  let point slew load =
+    {
+      Ch.slew;
+      load;
+      moments =
+        {
+          Moments.n = 100;
+          mean = Rng.uniform_range g ~lo:1e-12 ~hi:1e-10;
+          std = Rng.uniform_range g ~lo:1e-13 ~hi:1e-11;
+          skewness = Rng.uniform_range g ~lo:(-1.0) ~hi:2.0;
+          kurtosis = Rng.uniform_range g ~lo:2.0 ~hi:6.0;
+        };
+      quantiles = Array.init 7 (fun _ -> Rng.uniform_range g ~lo:1e-12 ~hi:1e-10);
+      mean_out_slew = Rng.uniform_range g ~lo:1e-12 ~hi:1e-10;
+    }
+  in
+  {
+    Ch.cell = Cell.make Cell.Inv ~strength:1;
+    edge = `Fall;
+    vdd = tech.T.vdd_nominal;
+    n_mc = 100;
+    kernel = Cell_sim.Fast;
+    sampling = Sampler.Mc;
+    rtol = None;
+    slews;
+    loads;
+    points = Array.map (fun s -> Array.map (fun l -> point s l) loads) slews;
+  }
+
+let test_lookups_match_grid2d () =
+  let g = Rng.create ~seed:2026 in
+  let same what a b =
+    if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+      Alcotest.failf "%s: grid-free %h, Grid2d %h" what a b
+  in
+  List.iter
+    (fun (slews, loads) ->
+      let t = synthetic_table g ~slews ~loads in
+      let via_grid f slew load =
+        Grid2d.eval
+          (Grid2d.create ~xs:t.Ch.slews ~ys:t.Ch.loads
+             ~values:(Array.map (Array.map f) t.Ch.points))
+          slew load
+      in
+      (* Knots, midpoints, random interior points, and points beyond
+         each edge (clamped). *)
+      let probes axis =
+        let n = Array.length axis in
+        let lo = axis.(0) and hi = axis.(n - 1) in
+        Array.to_list axis
+        @ List.init (n - 1) (fun i -> 0.5 *. (axis.(i) +. axis.(i + 1)))
+        @ List.init 3 (fun _ -> Rng.uniform_range g ~lo ~hi)
+        @ [ lo *. 0.5; lo -. 1e-12; hi *. 2.0; hi +. 1e-9 ]
+      in
+      List.iter
+        (fun slew ->
+          List.iter
+            (fun load ->
+              let m = Ch.moments_at t ~slew ~load in
+              let ref_m f = via_grid (fun (p : Ch.point) -> f p.Ch.moments) slew load in
+              same "mean" m.Moments.mean (ref_m (fun m -> m.Moments.mean));
+              same "std" m.Moments.std (ref_m (fun m -> m.Moments.std));
+              same "skewness" m.Moments.skewness (ref_m (fun m -> m.Moments.skewness));
+              same "kurtosis" m.Moments.kurtosis (ref_m (fun m -> m.Moments.kurtosis));
+              Alcotest.(check int) "n" t.Ch.n_mc m.Moments.n;
+              same "out slew" (Ch.out_slew_at t ~slew ~load)
+                (via_grid (fun p -> p.Ch.mean_out_slew) slew load);
+              List.iteri
+                (fun k sigma ->
+                  same
+                    (Printf.sprintf "quantile %d" sigma)
+                    (Ch.quantile_at t ~slew ~load ~sigma)
+                    (via_grid (fun p -> p.Ch.quantiles.(k)) slew load))
+                Nsigma_stats.Quantile.sigma_levels)
+            (probes loads))
+        (probes slews))
+    [
+      (Ch.default_slews, Ch.default_loads);
+      (small_slews, [| 0.1e-15; 0.4e-15; 2e-15; 6e-15 |]);
+      ([| 50e-12 |], [| 0.2e-15; 1e-15 |]);
+      ([| 10e-12; 80e-12 |], [| 1e-15 |]);
+      ([| 20e-12 |], [| 2e-15 |]);
+    ]
+
+let test_characterize_rejects_bad_axes () =
+  let inv = Cell.make Cell.Inv ~strength:1 in
+  List.iter
+    (fun (what, slews, loads) ->
+      Alcotest.(check bool) what true
+        (try
+           ignore (Ch.characterize ~n_mc:20 ~slews ~loads tech inv ~edge:`Fall);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("empty slews", [||], [| 1e-15 |]);
+      ("empty loads", [| 10e-12 |], [||]);
+      ("decreasing slews", [| 50e-12; 10e-12 |], [| 1e-15 |]);
+      ("repeated loads", [| 10e-12 |], [| 1e-15; 1e-15 |]);
+      ("nan slew", [| 10e-12; Float.nan |], [| 1e-15 |]);
+      ("infinite load", [| 10e-12 |], [| 1e-15; Float.infinity |]);
+    ]
 
 let test_characterize_deterministic () =
   let t1 =
@@ -317,6 +426,84 @@ let test_library_load_rejects_wrong_vdd () =
        Sys.remove path;
        true)
 
+(* A hostile .lvf — bad axes, a points grid of the wrong shape, a
+   malformed number — fails its load with a [path:line:] Failure naming
+   the offending line, instead of loading and raising Invalid_argument
+   midway through an analysis. *)
+let test_library_load_rejects_hostile_tables () =
+  let lib = Library.create tech in
+  Library.add lib (Lazy.force small_table);
+  let good = Filename.temp_file "nsigma_test" ".lvf" in
+  Library.save lib good;
+  let lines =
+    let ic = open_in good in
+    let rec go acc =
+      match input_line ic with
+      | l -> go (l :: acc)
+      | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+    in
+    go []
+  in
+  Sys.remove good;
+  let starts prefix l =
+    String.length l >= String.length prefix
+    && String.sub l 0 (String.length prefix) = prefix
+  in
+  (* 1-based number of the first line starting with [prefix]. *)
+  let line_of prefix =
+    let rec go i = function
+      | [] -> Alcotest.failf "no %s line" prefix
+      | l :: rest -> if starts prefix l then i else go (i + 1) rest
+    in
+    go 1 lines
+  in
+  let rewrite prefix f =
+    List.concat_map (fun l -> if starts prefix l then f l else [ l ]) lines
+  in
+  let case what edited ~line =
+    let path = Filename.temp_file "nsigma_test" ".lvf" in
+    let oc = open_out path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) edited;
+    close_out oc;
+    let outcome =
+      match Library.load tech path with
+      | _ -> Error "loaded"
+      | exception Failure msg -> Ok msg
+      | exception e -> Error (Printexc.to_string e)
+    in
+    Sys.remove path;
+    match outcome with
+    | Error e -> Alcotest.failf "%s: expected a Failure, got %s" what e
+    | Ok msg ->
+      let want = Printf.sprintf "%s:%d: " path line in
+      if not (starts want msg) then
+        Alcotest.failf "%s: expected %S..., got %S" what want msg
+  in
+  let slews = line_of "SLEWS" and loads = line_of "LOADS" in
+  let first_point = line_of "POINT" in
+  case "non-increasing SLEWS"
+    (rewrite "SLEWS" (fun _ -> [ "SLEWS 3e-10 1e-10 1e-11" ]))
+    ~line:slews;
+  case "empty LOADS" (rewrite "LOADS" (fun _ -> [ "LOADS" ])) ~line:loads;
+  case "nan in SLEWS"
+    (rewrite "SLEWS" (fun _ -> [ "SLEWS 1e-11 nan 3e-10" ]))
+    ~line:slews;
+  case "malformed LOADS number"
+    (rewrite "LOADS" (fun _ -> [ "LOADS 1e-16 4e-16 two 6e-15" ]))
+    ~line:loads;
+  case "POINT outside the grid"
+    (rewrite "POINT 0 0 " (fun l ->
+         [ "POINT 7 0" ^ String.sub l 9 (String.length l - 9) ]))
+    ~line:first_point;
+  case "POINT grid too small (SLEWS has an extra knot)"
+    (rewrite "SLEWS" (fun l -> [ l ^ " 9e-10" ]))
+    ~line:(line_of "END");
+  case "axis after POINT"
+    (rewrite "END" (fun l -> [ "SLEWS 1e-11 2e-11 3e-11"; l ]))
+    ~line:(line_of "END")
+
 (* ---------- Store ---------- *)
 
 let fresh_store_dir name =
@@ -463,6 +650,8 @@ let () =
           Alcotest.test_case "quantiles ordered" `Slow test_quantiles_ordered;
           Alcotest.test_case "interp at nodes" `Slow test_moments_at_matches_grid_point;
           Alcotest.test_case "deterministic" `Quick test_characterize_deterministic;
+          Alcotest.test_case "lookups = Grid2d (bitwise)" `Quick test_lookups_match_grid2d;
+          Alcotest.test_case "rejects bad axes" `Quick test_characterize_rejects_bad_axes;
         ] );
       ( "library",
         [
@@ -475,6 +664,8 @@ let () =
           Alcotest.test_case "sampling roundtrip" `Slow test_library_sampling_roundtrip;
           Alcotest.test_case "sampling mismatch" `Slow test_library_load_rejects_sampling_mismatch;
           Alcotest.test_case "vdd check" `Slow test_library_load_rejects_wrong_vdd;
+          Alcotest.test_case "hostile tables" `Slow
+            test_library_load_rejects_hostile_tables;
         ] );
       ( "store",
         [

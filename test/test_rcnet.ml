@@ -204,6 +204,130 @@ let test_for_fanout_bounded_length () =
   Alcotest.(check bool) "high fanout not 16x longer" true
     (Rctree.total_res t16 < 4.0 *. Rctree.total_res t1 +. 2000.0)
 
+(* ---- the fused Elmore pass = the recurrences it replaced ---- *)
+
+(* Test-local copies of the per-function recurrences [Elmore] had before
+   they became wrappers over one pass: each function rebuilt its own
+   downstream caps and delays. *)
+module Ref = struct
+  let downstream_cap (t : Rctree.t) =
+    let n = Rctree.n_nodes t in
+    let down = Array.init n (fun i -> t.nodes.(i).cap) in
+    for i = n - 1 downto 1 do
+      down.(t.nodes.(i).parent) <- down.(t.nodes.(i).parent) +. down.(i)
+    done;
+    down
+
+  let delays ?(driver_res = 0.0) (t : Rctree.t) =
+    let n = Rctree.n_nodes t in
+    let down = downstream_cap t in
+    let out = Array.make n 0.0 in
+    out.(0) <- driver_res *. down.(0);
+    for i = 1 to n - 1 do
+      out.(i) <- out.(t.nodes.(i).parent) +. (t.nodes.(i).res *. down.(i))
+    done;
+    out
+
+  let second_moments ?(driver_res = 0.0) (t : Rctree.t) =
+    let n = Rctree.n_nodes t in
+    let elm = delays ~driver_res t in
+    let s2 = Array.init n (fun i -> t.nodes.(i).cap *. elm.(i)) in
+    for i = n - 1 downto 1 do
+      let p = t.nodes.(i).parent in
+      s2.(p) <- s2.(p) +. s2.(i)
+    done;
+    let out = Array.make n 0.0 in
+    out.(0) <- driver_res *. s2.(0);
+    for i = 1 to n - 1 do
+      out.(i) <- out.(t.nodes.(i).parent) +. (t.nodes.(i).res *. s2.(i))
+    done;
+    out
+
+  let d2m_at ?driver_res t i =
+    let m1 = (delays ?driver_res t).(i) in
+    let m2 = (second_moments ?driver_res t).(i) in
+    if m2 <= 0.0 then m1 *. log 2.0 else log 2.0 *. m1 *. m1 /. sqrt m2
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The first [n] slots of [got] equal [want] bit for bit. *)
+let prefix_equal want got =
+  let ok = ref true in
+  Array.iteri (fun i x -> if not (same_bits x got.(i)) then ok := false) want;
+  !ok
+
+(* Four tree families from one seed: a random branching tree, a fanout
+   net with sink pins attached, a ladder (sometimes with zero caps, which
+   takes D2M's m2 <= 0 branch) and a SPEF round-tripped random tree. *)
+let fused_trees seed =
+  let g = Rng.create ~seed in
+  let spec =
+    {
+      Wire_gen.min_length_um = 1.0;
+      max_length_um = 120.0;
+      segments = 1 + Rng.int g 24;
+      branch_prob = Rng.uniform g *. 0.6;
+    }
+  in
+  let random = Wire_gen.random_tree tech spec g in
+  let fanout =
+    let t = Wire_gen.for_fanout tech ~fanout:(1 + Rng.int g 12) g in
+    Array.fold_left
+      (fun tr tap -> Rctree.add_cap tr tap (Rng.uniform_range g ~lo:0.1e-15 ~hi:2e-15))
+      t t.Rctree.taps
+  in
+  let ladder =
+    Rctree.ladder ~segments:(1 + Rng.int g 30)
+      ~res_per_seg:(Rng.uniform_range g ~lo:1.0 ~hi:500.0)
+      ~cap_per_seg:(if Rng.int g 4 = 0 then 0.0 else Rng.uniform_range g ~lo:1e-17 ~hi:1e-15)
+  in
+  let spef =
+    match Spef.of_string (Spef.to_string ~name:"n" (Wire_gen.random_tree tech spec g)) with
+    | [ (_, t) ] -> t
+    | _ -> failwith "SPEF round-trip lost the net"
+  in
+  ([ random; fanout; ladder; spef ], Rng.uniform_range g ~lo:10.0 ~hi:5000.0)
+
+let prop_fused_pass_bitwise =
+  QCheck.Test.make ~count:200
+    ~name:"fused Elmore pass and wrappers = per-function recurrences (bitwise)"
+    (QCheck.int_bound 1_000_000)
+    (fun seed ->
+      let trees, rd = fused_trees seed in
+      (* One oversized scratch, poisoned, reused across every tree: only
+         the first n_nodes slots may matter. *)
+      let s = Elmore.scratch 128 in
+      List.iter (fun a -> Array.fill a 0 128 Float.nan) [ s.down; s.elmore; s.s2; s.m2 ];
+      List.for_all
+        (fun (t : Rctree.t) ->
+          let n = Rctree.n_nodes t in
+          List.for_all
+            (fun driver_res ->
+              let elm = Ref.delays ~driver_res t and m2 = Ref.second_moments ~driver_res t in
+              Elmore.moments_into ~driver_res t s;
+              prefix_equal (Ref.downstream_cap t) (Rctree.downstream_cap t)
+              && prefix_equal (Ref.downstream_cap t) s.Elmore.down
+              && prefix_equal elm s.Elmore.elmore
+              && prefix_equal m2 s.Elmore.m2
+              && prefix_equal elm (Elmore.delays ~driver_res t)
+              && prefix_equal m2 (Elmore.second_moments ~driver_res t)
+              && List.for_all
+                   (fun i ->
+                     let d2m = Ref.d2m_at ~driver_res t i in
+                     same_bits d2m (Elmore.d2m_at ~driver_res t i)
+                     && same_bits d2m (Elmore.d2m_of s i)
+                     && same_bits elm.(i) (Elmore.delay_at ~driver_res t i))
+                   (List.init n Fun.id))
+            [ 0.0; rd ])
+        trees)
+
+let test_scratch_too_small () =
+  let t = simple_chain () in
+  Alcotest.check_raises "scratch smaller than the tree"
+    (Invalid_argument "Elmore.moments_into: scratch smaller than the tree")
+    (fun () -> Elmore.moments_into t (Elmore.scratch 2))
+
 let () =
   Alcotest.run "nsigma_rcnet"
     [
@@ -224,6 +348,8 @@ let () =
           Alcotest.test_case "driver resistance" `Quick test_elmore_driver_res;
           Alcotest.test_case "second moment" `Quick test_second_moment_positive;
           Alcotest.test_case "d2m" `Quick test_d2m_below_elmore;
+          QCheck_alcotest.to_alcotest prop_fused_pass_bitwise;
+          Alcotest.test_case "scratch too small" `Quick test_scratch_too_small;
         ] );
       ( "spef",
         [

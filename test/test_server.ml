@@ -347,6 +347,81 @@ let test_daemon_socket_smoke () =
     finish ();
     raise e
 
+(* A busy daemon whose client has gone must still honour SIGTERM
+   promptly: pipeline several distinct (so not coalesced) long path_mc
+   requests, close the connection while the first is computing, send
+   SIGTERM, and expect exit 0 well before the pipelined work could have
+   finished.  Without skipping requests from closed connections the
+   daemon answered every one of them into the void first. *)
+let path_mc_samples = 20000
+let pipelined = 8
+
+let test_daemon_sigterm_skips_closed_peer () =
+  ignore (Lazy.force library : Library.t);
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nsigma_test_server_busy_%d.sock" (Unix.getpid ()))
+  in
+  (try Sys.remove socket with Sys_error _ -> ());
+  flush stdout;
+  flush stderr;
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "__serve"; socket |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let finish () =
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+  in
+  let line k n =
+    Printf.sprintf {|{"id": %d, "op": "path_mc", "circuit": "c432-small", "n": %d}|} k n
+  in
+  match
+    let c = Client.connect ~retries:400 ~socket () in
+    (* A small request builds the circuit context; a full one then
+       times one population, so the bound below scales with the
+       machine. *)
+    ignore (check_ok "context path_mc" (Client.request c (line 0 10)));
+    let t0 = Unix.gettimeofday () in
+    ignore (check_ok "timed path_mc" (Client.request c (line 0 path_mc_samples)));
+    let one = Unix.gettimeofday () -. t0 in
+    for k = 1 to pipelined do
+      Client.send c (line k (path_mc_samples + k))
+    done;
+    (* Let the daemon admit the batch and start computing, then leave. *)
+    Unix.sleepf (Float.min 0.5 (one /. 4.0));
+    Client.close c;
+    Unix.kill pid Sys.sigterm;
+    let t1 = Unix.gettimeofday () in
+    (* The in-flight request, a request's worth of slack and a second
+       of process teardown; answering the whole pipeline would take
+       [pipelined] of them. *)
+    let bound = 1.0 +. (2.0 *. one) in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () -. t1 < bound ->
+        Unix.sleepf 0.02;
+        wait ()
+      | 0, _ -> None
+      | _, status -> Some status
+    in
+    (one, bound, wait ())
+  with
+  | one, bound, None ->
+    finish ();
+    Alcotest.failf
+      "daemon still running %.2f s after SIGTERM with its client gone (one \
+       request: %.2f s, %d pipelined)"
+      bound one pipelined
+  | _, _, Some status ->
+    Alcotest.(check bool) "SIGTERM with a closed peer exits 0" true
+      (status = Unix.WEXITED 0)
+  | exception e ->
+    finish ();
+    raise e
+
 (* Hidden daemon mode for the socket smoke: [test_server.exe __serve
    SOCKET] serves the shared test library until SIGTERM. *)
 let () =
@@ -388,5 +463,9 @@ let () =
             test_bit_identity_replay;
         ] );
       ( "daemon",
-        [ Alcotest.test_case "socket smoke" `Slow test_daemon_socket_smoke ] );
+        [
+          Alcotest.test_case "socket smoke" `Slow test_daemon_socket_smoke;
+          Alcotest.test_case "SIGTERM skips closed peer" `Slow
+            test_daemon_sigterm_skips_closed_peer;
+        ] );
     ]

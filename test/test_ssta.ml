@@ -19,6 +19,11 @@ module Ssta = Nsigma_sta.Ssta
 module Timing_report = Nsigma_sta.Timing_report
 module Moments = Nsigma_stats.Moments
 module Stat_max = Nsigma_stats.Stat_max
+module Rng = Nsigma_stats.Rng
+module Rctree = Nsigma_rcnet.Rctree
+module Elmore = Nsigma_rcnet.Elmore
+module Wire_gen = Nsigma_rcnet.Wire_gen
+module Executor = Nsigma_exec.Executor
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps *. (1.0 +. Float.abs expected) then
@@ -286,6 +291,92 @@ let test_executor_identity () =
   check_bits "linear sens" d0.Ssta.d_a d1.Ssta.d_a;
   check_bits "quadratic sens" d0.Ssta.d_b d1.Ssta.d_b
 
+(* ---- wire mini-MC against the rebuild-per-sample reference ---- *)
+
+(* Test-local copy of the provider's wire loop before it refilled
+   scratch trees: per sample a freshly varied tree (Wire_gen.vary), one
+   add_cap copy per sink pin, and d2m_at/delay_at per tap; per tap the
+   first matching entry (Array.find_opt).  Streams as in the provider:
+   wire stream = derive (master seed) 1, net stream = derive wire net. *)
+let reference_wire ~seed ~wire_samples design ~net =
+  let wire_rng = Rng.derive (Rng.create ~seed) ~index:1 in
+  let base = design.Design.parasitics.(net) in
+  let loads = Design.sink_caps tech design ~net in
+  let taps = base.Rctree.taps in
+  let rng = Rng.derive wire_rng ~index:net in
+  let rows =
+    Array.init wire_samples (fun i ->
+        let v = Variation.draw tech (Rng.derive rng ~index:i) in
+        let varied = Wire_gen.vary tech v base in
+        let loaded =
+          List.fold_left (fun tr (node, c) -> Rctree.add_cap tr node c) varied loads
+        in
+        Array.map (fun tap -> (Elmore.d2m_at loaded tap, Elmore.delay_at loaded tap)) taps)
+  in
+  let accs = Array.map (fun _ -> Moments.empty) taps in
+  let elmore_sum = Array.map (fun _ -> 0.0) taps in
+  Array.iter
+    (fun row ->
+      Array.iteri
+        (fun j (d2m, elm) ->
+          accs.(j) <- Moments.add accs.(j) d2m;
+          elmore_sum.(j) <- elmore_sum.(j) +. elm)
+        row)
+    rows;
+  let arr =
+    Array.mapi
+      (fun j tap ->
+        ( tap,
+          Ssta.of_summary ~global_frac:0.0 (Moments.summary accs.(j)),
+          elmore_sum.(j) /. float_of_int wire_samples ))
+      taps
+  in
+  fun tap ->
+    match Array.find_opt (fun (t, _, _) -> t = tap) arr with
+    | Some (_, d, elm) -> { Ssta.dd = d; d_slew_tc = elm }
+    | None -> { Ssta.dd = Ssta.zero_dist; d_slew_tc = 0.0 }
+
+let delay_bits (d : Ssta.delay) =
+  let x = d.Ssta.dd in
+  Array.concat
+    [
+      [| x.Ssta.d_mean; x.Ssta.d_var_l; x.Ssta.d_m3_l; x.Ssta.d_m4_l; d.Ssta.d_slew_tc |];
+      x.Ssta.d_a;
+      x.Ssta.d_b;
+    ]
+  |> Array.map Int64.bits_of_float
+
+(* Every (net, tap) of [m_wire_delay], plus the root and an
+   out-of-range node, equals the reference on c432 and c1355, on the
+   sequential executor and on a 2-domain pool. *)
+let test_wire_matches_reference () =
+  let lib = Lazy.force library in
+  let seed = 421 and wire_samples = 96 in
+  List.iter
+    (fun name ->
+      let design = Design.attach_parasitics tech ((Bm.find name).Bm.generate ()) in
+      List.iter
+        (fun (exec_name, exec) ->
+          let p =
+            Ssta.lvf_provider ~seed ~wire_samples ~exec ~store_dir:None tech lib design
+          in
+          Array.iteri
+            (fun net (tree : Rctree.t) ->
+              let want = reference_wire ~seed ~wire_samples design ~net in
+              let nodes = Array.to_list tree.Rctree.taps @ [ 0; Rctree.n_nodes tree ] in
+              List.iter
+                (fun tap ->
+                  let got =
+                    p.Engine_core.m_wire_delay ~net ~driver:None ~sink:None ~tree ~tap
+                  in
+                  if delay_bits got <> delay_bits (want tap) then
+                    Alcotest.failf "%s/%s: net %d tap %d differs from the reference"
+                      name exec_name net tap)
+                nodes)
+            design.Design.parasitics)
+        [ ("sequential", Executor.sequential); ("pool2", Executor.domain_pool ~jobs:2 ()) ])
+    [ "c432"; "c1355" ]
+
 let () =
   Alcotest.run "nsigma_ssta"
     [
@@ -305,5 +396,7 @@ let () =
           Alcotest.test_case "validate smoke" `Slow test_validate_smoke;
           Alcotest.test_case "sequential = pool (bitwise)" `Slow
             test_executor_identity;
+          Alcotest.test_case "wire mini-MC = rebuild-per-sample reference (bitwise)"
+            `Slow test_wire_matches_reference;
         ] );
     ]
