@@ -3,16 +3,17 @@
    Considering Interaction between Cells and Wires").
 
    Usage:
-     dune exec bench/main.exe                 # everything except micro
+     dune exec bench/main.exe                 # every experiment
      dune exec bench/main.exe -- table2       # one experiment
      dune exec bench/main.exe -- table3 c432 c1355
-     dune exec bench/main.exe -- micro        # bechamel micro-benchmarks
 
    Environment knobs:
      NSIGMA_BENCH_MC       library characterisation samples/point (default 3000)
      NSIGMA_BENCH_PATH_MC  path Monte-Carlo samples (default 500)
      NSIGMA_BENCH_CELL_MC  per-cell verification samples (default 8000)
-     NSIGMA_BENCH_KERNEL_MC  kernel-bench samples/point (default 500)
+
+   Performance is measured end to end by bench/e2e (bash bench/e2e/run.sh);
+   this harness only regenerates the paper's evaluation.
 
    The library characterisation is cached in ./bench_cache_*.lvf; delete
    it to re-characterise.  Absolute numbers depend on the synthetic
@@ -20,12 +21,10 @@
    who wins, by what rough factor, and where the errors sit. *)
 
 module T = Nsigma_process.Technology
-module Variation = Nsigma_process.Variation
 module Rng = Nsigma_stats.Rng
 module Moments = Nsigma_stats.Moments
 module Quantile = Nsigma_stats.Quantile
 module Histogram = Nsigma_stats.Histogram
-module Sampler = Nsigma_stats.Sampler
 module Cell = Nsigma_liberty.Cell
 module Library = Nsigma_liberty.Library
 module Ch = Nsigma_liberty.Characterize
@@ -41,22 +40,13 @@ module Engine = Nsigma_sta.Engine
 module Provider = Nsigma_sta.Provider
 module Path = Nsigma_sta.Path
 module Path_mc = Nsigma_sta.Path_mc
-module Ssta = Nsigma_sta.Ssta
-module Incremental = Nsigma_sta.Incremental
-module Edit = Nsigma_netlist.Edit
-module Stat_max = Nsigma_stats.Stat_max
 module Model = Nsigma.Model
 module Cell_model = Nsigma.Cell_model
 module Wire_model = Nsigma.Wire_model
 module Wire_lab = Nsigma.Wire_lab
 module Calibration = Nsigma.Calibration
 module Executor = Nsigma_exec.Executor
-module Metrics = Nsigma_obs.Metrics
-module Trace = Nsigma_obs.Trace
 module Obs_report = Nsigma_obs.Report
-module Server = Nsigma_server.Server
-module Sclient = Nsigma_server.Client
-module Sproto = Nsigma_server.Protocol
 module Lsn = Nsigma_baselines.Lsn_model
 module Burr = Nsigma_baselines.Burr_model
 module Pt = Nsigma_baselines.Primetime_like
@@ -787,80 +777,6 @@ let ablation () =
     (ps mc3)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per core operation.        *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "Micro-benchmarks (bechamel)";
-  let lib = library () in
-  let m = model () in
-  let nand = Cell.make Cell.Nand2 ~strength:2 in
-  let tree = Wire_gen.point_to_point tech ~length_um:100.0 ~segments:8 in
-  let arc = Cell.arc tech Variation.nominal nand ~output_edge:`Fall in
-  let nl = (Bm.find "c432").Bm.generate () in
-  let design = Design.attach_parasitics tech nl in
-  let prov = Model.provider m ~sigma:3 in
-  let nom = Provider.nominal lib in
-  let open Bechamel in
-  let test =
-    Test.make_grouped ~name:"nsigma"
-      [
-        Test.make ~name:"cell_quantile"
-          (Staged.stage (fun () ->
-               ignore
-                 (Model.cell_quantile m nand ~edge:`Fall ~input_slew:40e-12
-                    ~load_cap:2e-15 ~sigma:3)));
-        Test.make ~name:"wire_quantile"
-          (Staged.stage (fun () ->
-               ignore
-                 (Model.wire_quantile m ~tree ~tap:8
-                    ~driver:(Cell.make Cell.Inv ~strength:2)
-                    ~load:None ~sigma:3)));
-        Test.make ~name:"elmore_9node"
-          (Staged.stage (fun () -> ignore (Elmore.delays tree)));
-        Test.make ~name:"cell_transient"
-          (Staged.stage (fun () ->
-               ignore
-                 (Cell_sim.simulate tech arc ~input_slew:10e-12 ~load_cap:2e-15)));
-        Test.make ~name:"sta_c432_nsigma"
-          (Staged.stage (fun () -> ignore (Engine.analyze tech prov design)));
-        Test.make ~name:"sta_c432_nominal"
-          (Staged.stage (fun () -> ignore (Engine.analyze tech nom design)));
-      ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    let raw_results = Benchmark.all cfg instances test in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  (* Print the OLS time-per-run estimates. *)
-  Hashtbl.iter
-    (fun metric table ->
-      if metric = "monotonic-clock" then
-        Hashtbl.iter
-          (fun name ols_result ->
-            match Analyze.OLS.estimates ols_result with
-            | Some [ t ] ->
-              let t = Float.max 0.0 t in
-              Printf.printf "%-28s %12s\n" name
-                (if t > 1e6 then Printf.sprintf "%.2f ms/run" (t /. 1e6)
-                 else if t > 1e3 then Printf.sprintf "%.2f us/run" (t /. 1e3)
-                 else Printf.sprintf "%.0f ns/run" t)
-            | _ -> Printf.printf "%-28s (no estimate)\n" name)
-          table)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* High-sigma extension: the paper's "extended to +/-6s" remark.        *)
 (* ------------------------------------------------------------------ *)
 
@@ -899,1399 +815,11 @@ Inside +/-3s the values are the fitted Table-I quantiles; beyond,
      (P(+6s) ~ 1e-9 is unobservable by characterisation MC).
 "
 
-(* ------------------------------------------------------------------ *)
-(* Executor: characterisation wall-clock, sequential vs domain pool.   *)
-(* ------------------------------------------------------------------ *)
-
-let exec_speedup () =
-  header "Executor — full-library characterisation, sequential vs domain pool";
-  let pool = Executor.domain_pool () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "characterising %d cells x 2 edges (mc=%d per grid point)\n%!"
-    (List.length all_cells) lib_mc;
-  let lib_seq, t_seq =
-    time (fun () ->
-        Library.characterize_all ~n_mc:lib_mc ~exec:Executor.sequential tech
-          all_cells)
-  in
-  Printf.printf "  sequential       %8.2fs\n%!" t_seq;
-  let lib_par, t_par =
-    time (fun () ->
-        Library.characterize_all ~n_mc:lib_mc ~exec:pool tech all_cells)
-  in
-  let speedup = t_seq /. Float.max 1e-9 t_par in
-  Printf.printf "  %2d-domain pool   %8.2fs   speedup %.2fx\n%!"
-    (Executor.jobs pool) t_par speedup;
-  let identical =
-    List.for_all
-      (fun (cell, edge) ->
-        let a = Library.find lib_seq cell ~edge in
-        let b = Library.find lib_par cell ~edge in
-        a.Ch.points = b.Ch.points)
-      (Library.cells lib_seq)
-  in
-  Printf.printf "  bit-identical tables across backends: %b\n" identical;
-  let cores = Domain.recommended_domain_count () in
-  let note =
-    if Executor.jobs pool > cores then
-      "jobs exceed available cores: OCaml 5 stop-the-world minor GC makes \
-       oversubscription counterproductive, run with jobs <= cores"
-    else ""
-  in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "exec_speedup", "cells": %d, "edges": 2, "n_mc": %d, "jobs": %d, "cores_available": %d, "seq_seconds": %.3f, "pool_seconds": %.3f, "speedup": %.3f, "bit_identical": %b, "note": "%s"}|}
-      (List.length all_cells) lib_mc (Executor.jobs pool) cores t_seq t_par
-      speedup identical note
-  in
-  (* Append, one JSON object per line, so successive runs accumulate. *)
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_exec.json"
-  in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_exec.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* Kernel: fast analytic path vs the RK4 reference.                    *)
-(* ------------------------------------------------------------------ *)
-
-let kernel_mc = env_int "NSIGMA_BENCH_KERNEL_MC" 500
-
-let kernel_bench () =
-  header "Kernel — fast effective-current path vs the RK4 reference";
-  (* One cell per kind: the fast path's accuracy is already covered for
-     every strength by test_kernel; here the subset keeps the RK4 side
-     of the timing run affordable. *)
-  let cells = List.map (fun k -> Cell.make k ~strength:1) Cell.all_kinds in
-  (* Wall-clock on a shared box is noisy on a minutes scale: compact
-     before each pass, interleave the two kernels so they see the same
-     contention epochs, and keep each kernel's faster pass. *)
-  let once kernel =
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    let lib =
-      Library.characterize_all ~n_mc:kernel_mc ~exec:Executor.sequential
-        ~kernel tech cells
-    in
-    (lib, Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "characterising %d cells x 2 edges, mc=%d per grid point\n%!"
-    (List.length cells) kernel_mc;
-  let _, r1 = once Cell_sim.Rk4 in
-  let lib_fast, f1 = once Cell_sim.Fast in
-  let _, r2 = once Cell_sim.Rk4 in
-  let _, f2 = once Cell_sim.Fast in
-  let t_rk4 = Float.min r1 r2 and t_fast = Float.min f1 f2 in
-  Printf.printf "  rk4  (reference) %8.2fs\n%!" t_rk4;
-  let speedup = t_rk4 /. Float.max 1e-9 t_fast in
-  Printf.printf "  fast (analytic)  %8.2fs   speedup %.2fx\n%!" t_fast speedup;
-  (* Determinism: the fast kernel must give bit-identical tables on a
-     domain pool, exactly like the reference. *)
-  let lib_fast_pool =
-    Library.characterize_all ~n_mc:kernel_mc
-      ~exec:(Executor.domain_pool ~jobs:2 ())
-      ~kernel:Cell_sim.Fast tech cells
-  in
-  let bit_identical =
-    List.for_all
-      (fun (cell, edge) ->
-        let a = Library.find lib_fast cell ~edge in
-        let b = Library.find lib_fast_pool cell ~edge in
-        a.Ch.points = b.Ch.points)
-      (Library.cells lib_fast)
-  in
-  Printf.printf "  bit-identical fast tables across pool sizes: %b\n%!"
-    bit_identical;
-  (* Agreement at the reference operating point (S_ref, FO4 — the same
-     conditions as test_kernel): population mean and ±3σ quantiles, fast
-     vs RK4 on identical variation streams, so the comparison measures
-     kernel bias rather than Monte-Carlo noise. *)
-  let population kernel cell edge =
-    let g = Rng.create ~seed:42 in
-    let results =
-      Monte_carlo.arc_results ~kernel tech g ~n:kernel_mc
-        ~arc_of:(fun sample -> Cell.arc tech sample cell ~output_edge:edge)
-        ~input_slew:Ch.reference_slew ~load_cap:(Cell.fo4_load tech cell)
-    in
-    let delays =
-      Array.to_list results
-      |> List.filter_map (Option.map (fun r -> r.Cell_sim.delay))
-      |> Array.of_list
-    in
-    Array.sort Float.compare delays;
-    delays
-  in
-  let q_p3 = Quantile.probability_of_sigma 3.0 in
-  let q_m3 = Quantile.probability_of_sigma (-3.0) in
-  let max_mu = ref 0.0 and max_q3 = ref 0.0 in
-  List.iter
-    (fun cell ->
-      List.iter
-        (fun edge ->
-          let fast = population Cell_sim.Fast cell edge in
-          let rk4 = population Cell_sim.Rk4 cell edge in
-          let rel x y = Float.abs (x -. y) /. Float.abs y in
-          let mu d = (Moments.summary_of_array d).Moments.mean in
-          max_mu := Float.max !max_mu (rel (mu fast) (mu rk4));
-          List.iter
-            (fun p ->
-              max_q3 :=
-                Float.max !max_q3
-                  (rel (Quantile.of_sorted fast p) (Quantile.of_sorted rk4 p)))
-            [ q_p3; q_m3 ])
-        [ `Rise; `Fall ])
-    cells;
-  (* Nominal-delay agreement across the same grid, straight off the two
-     simulators (no Monte-Carlo noise involved). *)
-  let max_nom = ref 0.0 in
-  List.iter
-    (fun cell ->
-      List.iter
-        (fun edge ->
-          let arc = Cell.arc tech Variation.nominal cell ~output_edge:edge in
-          let loads = Ch.loads_for tech cell in
-          Array.iter
-            (fun slew ->
-              Array.iter
-                (fun load ->
-                  let r = Cell_sim.simulate tech arc ~input_slew:slew ~load_cap:load in
-                  let f =
-                    Cell_sim.simulate_fast tech arc ~input_slew:slew ~load_cap:load
-                  in
-                  max_nom :=
-                    Float.max !max_nom
-                      (Float.abs (f.Cell_sim.delay -. r.Cell_sim.delay)
-                      /. Float.abs r.Cell_sim.delay))
-                loads)
-            Ch.default_slews)
-        [ `Rise; `Fall ])
-    cells;
-  Printf.printf
-    "  agreement: nominal %.2f%% (tol 2%%), mean %.2f%% (tol 1%%), ±3σ \
-     quantiles %.2f%% (tol 3%%)\n%!"
-    (pct !max_nom) (pct !max_mu) (pct !max_q3);
-  let pass =
-    speedup >= 5.0 && bit_identical && !max_nom <= 0.02 && !max_mu <= 0.01
-    && !max_q3 <= 0.03
-  in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "kernel", "cells": %d, "edges": 2, "n_mc": %d, "rk4_seconds": %.3f, "fast_seconds": %.3f, "speedup": %.3f, "bit_identical_pools": %b, "max_nominal_err_pct": %.4f, "max_mean_err_pct": %.4f, "max_q3_err_pct": %.4f, "pass": %b}|}
-      (List.length cells) kernel_mc t_rk4 t_fast speedup bit_identical
-      (pct !max_nom) (pct !max_mu) (pct !max_q3) pass
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_kernel.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_kernel.json\n";
-  if not pass then begin
-    Printf.eprintf
-      "kernel bench FAILED: speedup %.2fx (need >= 5x), bit_identical %b, \
-       nominal %.2f%%, mean %.2f%%, q3 %.2f%%\n"
-      speedup bit_identical (pct !max_nom) (pct !max_mu) (pct !max_q3);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Observability: metrics-registry overhead on the hot sampling loop.  *)
-(* ------------------------------------------------------------------ *)
-
-let obs_mc = env_int "NSIGMA_BENCH_OBS_MC" 300
-
-(* Overhead tolerance in percent.  2% is the acceptance bar on a quiet
-   machine; CI runners share cores, so their smoke run loosens it. *)
-let obs_tol =
-  match Sys.getenv_opt "NSIGMA_BENCH_OBS_TOL" with
-  | Some v -> (try float_of_string v with _ -> 2.0)
-  | None -> 2.0
-
-let obs_reps = env_int "NSIGMA_BENCH_OBS_REPS" 5
-
-let obs_bench () =
-  header "Observability — metrics registry overhead on characterisation";
-  let cells = List.map (fun k -> Cell.make k ~strength:1) Cell.all_kinds in
-  let was_enabled = Metrics.enabled () in
-  (* Overhead is measured in process CPU time, not wall clock: on a
-     shared box wall-clock A/B passes at the one-second scale swing
-     several percent either way from scheduler preemption alone, far
-     above the effect being measured.  CPU time charges only what this
-     process executed. *)
-  let cpu_time () =
-    let t = Unix.times () in
-    t.Unix.tms_utime +. t.Unix.tms_stime
-  in
-  (* Per-operation cost measured directly on a tight recording loop. *)
-  let ns_per_incr enabled =
-    Metrics.set_enabled enabled;
-    let c = Metrics.counter "obs.bench.incr" in
-    for _ = 1 to 1000 do Metrics.incr c done;
-    let n = 20_000_000 in
-    let t0 = cpu_time () in
-    for _ = 1 to n do Metrics.incr c done;
-    let dt = cpu_time () -. t0 in
-    Metrics.set_enabled was_enabled;
-    dt /. float_of_int n *. 1e9
-  in
-  let ns_on = ns_per_incr true in
-  let ns_off = ns_per_incr false in
-  Printf.printf "  counter incr: %.1f ns enabled, %.1f ns disabled\n%!" ns_on
-    ns_off;
-  (* End-to-end A/B: compact before each pass, alternate off/on so both
-     sides age the heap the same way, keep each side's fastest of
-     [obs_reps] passes. *)
-  let once enabled =
-    Gc.compact ();
-    Metrics.set_enabled enabled;
-    let t0 = cpu_time () in
-    let lib =
-      Library.characterize_all ~n_mc:obs_mc ~exec:Executor.sequential
-        ~kernel:Cell_sim.Fast tech cells
-    in
-    let dt = cpu_time () -. t0 in
-    Metrics.set_enabled was_enabled;
-    (lib, dt)
-  in
-  Printf.printf "characterising %d cells x 2 edges, mc=%d per grid point, %d reps\n%!"
-    (List.length cells) obs_mc obs_reps;
-  let lib_off, off1 = once false in
-  let lib_on, on1 = once true in
-  let t_off = ref off1 and t_on = ref on1 in
-  for _ = 2 to obs_reps do
-    let _, off = once false in
-    let _, on = once true in
-    t_off := Float.min !t_off off;
-    t_on := Float.min !t_on on
-  done;
-  let t_off = !t_off and t_on = !t_on in
-  let overhead = 100.0 *. ((t_on -. t_off) /. Float.max 1e-9 t_off) in
-  Printf.printf "  metrics off %8.2fs\n  metrics on  %8.2fs   overhead %+.2f%%\n%!"
-    t_off t_on overhead;
-  (* The regression oracle: instrumentation must never perturb sampled
-     values, so the characterised tables agree bit for bit. *)
-  let identical =
-    List.for_all
-      (fun (cell, edge) ->
-        let a = Library.find lib_off cell ~edge in
-        let b = Library.find lib_on cell ~edge in
-        a.Ch.points = b.Ch.points)
-      (Library.cells lib_off)
-  in
-  Printf.printf "  bit-identical tables with metrics on vs off: %b\n%!" identical;
-  let fast_calls = Metrics.find_counter "kernel.fast.calls" in
-  Printf.printf "  kernel.fast.calls recorded while on: %d\n%!" fast_calls;
-  let pass = identical && overhead <= obs_tol && fast_calls > 0 in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "obs", "cells": %d, "edges": 2, "n_mc": %d, "reps": %d, "off_seconds": %.3f, "on_seconds": %.3f, "overhead_pct": %.3f, "tolerance_pct": %.1f, "ns_per_incr_enabled": %.1f, "ns_per_incr_disabled": %.1f, "bit_identical": %b, "fast_calls": %d, "pass": %b}|}
-      (List.length cells) obs_mc obs_reps t_off t_on overhead obs_tol ns_on
-      ns_off identical fast_calls pass
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_obs.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_obs.json\n";
-  if not pass then begin
-    Printf.eprintf
-      "obs bench FAILED: overhead %.2f%% (need <= %.1f%%), bit_identical %b, \
-       fast_calls %d\n"
-      overhead obs_tol identical fast_calls;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Tracing: trace-collector overhead on the hot sampling loop.         *)
-(* ------------------------------------------------------------------ *)
-
-let trace_mc = env_int "NSIGMA_BENCH_TRACE_MC" 300
-
-let trace_tol =
-  match Sys.getenv_opt "NSIGMA_BENCH_TRACE_TOL" with
-  | Some v -> (try float_of_string v with _ -> 2.0)
-  | None -> 2.0
-
-let trace_reps = env_int "NSIGMA_BENCH_TRACE_REPS" 5
-
-let trace_bench () =
-  header "Tracing — trace collector overhead on characterisation";
-  let cells = List.map (fun k -> Cell.make k ~strength:1) Cell.all_kinds in
-  let was_enabled = Trace.enabled () in
-  (* Same protocol as the obs bench: process CPU time (wall clock on a
-     shared box swings several percent from preemption alone), compact
-     before each pass, alternate off/on, keep each side's fastest rep. *)
-  let cpu_time () =
-    let t = Unix.times () in
-    t.Unix.tms_utime +. t.Unix.tms_stime
-  in
-  (* Per-record cost on a tight loop, and the disabled-path guard cost
-     (the acceptance bar is "a single atomic load when off"). *)
-  let ti = Trace.instant_type ~cat:"bench" ~args:[ "k" ] "bench.instant" in
-  let ns_per_record enabled =
-    Trace.set_enabled enabled;
-    for _ = 1 to 1000 do Trace.instant ti ~a:1.0 () done;
-    let n = 20_000_000 in
-    let t0 = cpu_time () in
-    for _ = 1 to n do Trace.instant ti ~a:1.0 () done;
-    let dt = cpu_time () -. t0 in
-    Trace.set_enabled was_enabled;
-    Trace.reset ();
-    dt /. float_of_int n *. 1e9
-  in
-  (* A generous per-domain cap so the characterisation run drops
-     nothing: zero drops at the default size is part of the gate, and
-     the grid workload stays well under it. *)
-  let ns_on = ns_per_record true in
-  let ns_off = ns_per_record false in
-  Printf.printf "  record: %.1f ns enabled, %.1f ns disabled\n%!" ns_on ns_off;
-  let once enabled =
-    Gc.compact ();
-    Trace.reset ();
-    Trace.set_enabled enabled;
-    let t0 = cpu_time () in
-    let lib =
-      Library.characterize_all ~n_mc:trace_mc ~exec:Executor.sequential
-        ~kernel:Cell_sim.Fast tech cells
-    in
-    let dt = cpu_time () -. t0 in
-    Trace.set_enabled was_enabled;
-    (lib, dt)
-  in
-  Printf.printf
-    "characterising %d cells x 2 edges, mc=%d per grid point, %d reps\n%!"
-    (List.length cells) trace_mc trace_reps;
-  let lib_off, off1 = once false in
-  let lib_on, on1 = once true in
-  (* Capture the trace state of the first enabled pass before later reps
-     wipe it: the artifact and the drop/track gate describe a real run. *)
-  let s = Trace.stats () in
-  let trace_file = "BENCH_trace_events.json" in
-  Trace.write trace_file;
-  Printf.printf
-    "  traced run: %d events on %d track(s), %d dropped -> %s (+.folded)\n%!"
-    s.Trace.recorded s.Trace.tracks s.Trace.dropped trace_file;
-  let t_off = ref off1 and t_on = ref on1 in
-  for _ = 2 to trace_reps do
-    let _, off = once false in
-    let _, on = once true in
-    t_off := Float.min !t_off off;
-    t_on := Float.min !t_on on
-  done;
-  Trace.reset ();
-  let t_off = !t_off and t_on = !t_on in
-  let overhead = 100.0 *. ((t_on -. t_off) /. Float.max 1e-9 t_off) in
-  Printf.printf "  trace off %8.2fs\n  trace on  %8.2fs   overhead %+.2f%%\n%!"
-    t_off t_on overhead;
-  (* The regression oracle: tracing must never perturb sampled values. *)
-  let identical =
-    List.for_all
-      (fun (cell, edge) ->
-        let a = Library.find lib_off cell ~edge in
-        let b = Library.find lib_on cell ~edge in
-        a.Ch.points = b.Ch.points)
-      (Library.cells lib_off)
-  in
-  Printf.printf "  bit-identical tables with tracing on vs off: %b\n%!" identical;
-  let pass =
-    identical && overhead <= trace_tol && s.Trace.recorded > 0
-    && s.Trace.dropped = 0
-  in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "trace", "cells": %d, "edges": 2, "n_mc": %d, "reps": %d, "off_seconds": %.3f, "on_seconds": %.3f, "overhead_pct": %.3f, "tolerance_pct": %.1f, "ns_per_record_enabled": %.1f, "ns_per_record_disabled": %.1f, "bit_identical": %b, "events": %d, "tracks": %d, "dropped_events": %d, "pass": %b}|}
-      (List.length cells) trace_mc trace_reps t_off t_on overhead trace_tol
-      ns_on ns_off identical s.Trace.recorded s.Trace.tracks s.Trace.dropped
-      pass
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_trace.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_trace.json\n";
-  if not pass then begin
-    Printf.eprintf
-      "trace bench FAILED: overhead %.2f%% (need <= %.1f%%), bit_identical %b, \
-       events %d, dropped %d\n"
-      overhead trace_tol identical s.Trace.recorded s.Trace.dropped;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Plan: precompiled sampling plans vs per-sample arc rebuild.         *)
-(* ------------------------------------------------------------------ *)
-
-let plan_mc = env_int "NSIGMA_BENCH_PLAN_MC" 500
-
-let plan_bench () =
-  header "Plan — precompiled sampling plans vs per-sample arc rebuild";
-  (* Characterisation-shaped workload on the RK4 reference kernel.  Both
-     sides run the same compiled kernel, so they differ only in per-
-     sample construction (fill in place vs build and compile): the bench
-     gates bit-identity and the allocation ordering, and reports the
-     wall-clock ratio without a bar.  A cell subset keeps the RK4 passes
-     affordable; test_plan covers the full bit-identity matrix. *)
-  let cells =
-    [ Cell.make Inv ~strength:1;
-      Cell.make Nand2 ~strength:2;
-      Cell.make Aoi21 ~strength:1 ]
-  in
-  let kernel = Cell_sim.Rk4 in
-  let work =
-    List.concat_map
-      (fun cell ->
-        let loads = Ch.loads_for tech cell in
-        List.concat_map
-          (fun edge ->
-            Array.to_list Ch.default_slews
-            |> List.concat_map (fun s ->
-                   Array.to_list loads |> List.map (fun l -> (cell, edge, s, l))))
-          [ `Rise; `Fall ])
-      cells
-  in
-  let n_points = List.length work in
-  let total_samples = n_points * plan_mc in
-  Printf.printf "grid: %d points x mc=%d (%s kernel), %d samples/pass\n%!"
-    n_points plan_mc (Cell_sim.kernel_name kernel) total_samples;
-  (* Both passes use the exact per-point stream characterisation uses
-     ([Rng.derive] from the grid index), so the populations must agree
-     bit for bit — the oracle below checks it.  [Gc.minor_words] around
-     each timed pass gives allocation per sample. *)
-  let stream idx = Rng.derive (Rng.create ~seed:1) ~index:idx in
-  (* The unplanned side replays the pre-plan measure_point verbatim —
-     per-sample arc rebuild through [arc_results] plus the option-array →
-     list → array compaction it used — so the ratio is the end-to-end
-     characterisation delta, not just the kernel's. *)
-  let unplanned_pass () =
-    Gc.compact ();
-    let mw0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let out =
-      List.mapi
-        (fun idx (cell, edge, slew, load) ->
-          let results =
-            Monte_carlo.arc_results ~exec:Executor.sequential ~kernel tech
-              (stream idx) ~n:plan_mc
-              ~arc_of:(fun sample -> Cell.arc tech sample cell ~output_edge:edge)
-              ~input_slew:slew ~load_cap:load
-          in
-          let ok = Array.to_list results |> List.filter_map Fun.id in
-          let delays = Array.of_list (List.map (fun r -> r.Cell_sim.delay) ok) in
-          let out_slews = List.map (fun r -> r.Cell_sim.output_slew) ok in
-          let sorted = Array.copy delays in
-          Array.sort Float.compare sorted;
-          let mean =
-            List.fold_left ( +. ) 0.0 out_slews
-            /. float_of_int (List.length out_slews)
-          in
-          ignore (Sys.opaque_identity mean);
-          (* Population in stream order, NaN for non-convergent, for the
-             bit-identity oracle. *)
-          Array.map
-            (function Some r -> r.Cell_sim.delay | None -> Float.nan)
-            results)
-        work
-    in
-    (out, Unix.gettimeofday () -. t0, Gc.minor_words () -. mw0)
-  in
-  let planned_pass () =
-    Gc.compact ();
-    let mw0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let out =
-      List.mapi
-        (fun idx (cell, edge, slew, load) ->
-          let delays, slews =
-            Monte_carlo.arc_delays_planned ~exec:Executor.sequential ~kernel
-              tech (stream idx) ~n:plan_mc
-              ~plan:(fun () -> Cell.plan tech cell ~output_edge:edge)
-              ~input_slew:slew ~load_cap:load
-          in
-          let ok = Monte_carlo.compact_nan delays in
-          let sorted = Array.copy ok in
-          Array.sort Float.compare sorted;
-          let sum = ref 0.0 and n_ok = ref 0 in
-          Array.iteri
-            (fun i d ->
-              if not (Float.is_nan d) then begin
-                sum := !sum +. slews.(i);
-                incr n_ok
-              end)
-            delays;
-          ignore (Sys.opaque_identity (!sum /. float_of_int !n_ok));
-          delays)
-        work
-    in
-    (out, Unix.gettimeofday () -. t0, Gc.minor_words () -. mw0)
-  in
-  (* Interleave the two variants so they see the same contention epochs;
-     keep each side's faster pass.  Allocation counts come from the first
-     rep — they are deterministic, unlike wall clock. *)
-  let u_out, u1, u_words = unplanned_pass () in
-  let p_out, p1, p_words = planned_pass () in
-  let _, u2, _ = unplanned_pass () in
-  let _, p2, _ = planned_pass () in
-  let t_unplanned = Float.min u1 u2 and t_planned = Float.min p1 p2 in
-  let speedup = t_unplanned /. Float.max 1e-9 t_planned in
-  let wps_unplanned = u_words /. float_of_int total_samples in
-  let wps_planned = p_words /. float_of_int total_samples in
-  Printf.printf "  unplanned (rebuild/sample) %8.2fs  %8.0f words/sample\n%!"
-    t_unplanned wps_unplanned;
-  Printf.printf "  planned   (fill in place)  %8.2fs  %8.0f words/sample   \
-                 speedup %.2fx\n%!"
-    t_planned wps_planned speedup;
-  let identical =
-    List.for_all2
-      (fun u p ->
-        Array.length u = Array.length p
-        && Array.for_all
-             (fun i ->
-               (Float.is_nan u.(i) && Float.is_nan p.(i))
-               || Int64.equal (Int64.bits_of_float u.(i))
-                    (Int64.bits_of_float p.(i)))
-             (Array.init (Array.length u) Fun.id))
-      u_out p_out
-  in
-  Printf.printf "  bit-identical populations planned vs unplanned: %b\n%!"
-    identical;
-  let pass = identical && wps_planned < wps_unplanned in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "plan", "cells": %d, "edges": 2, "grid_points": %d, "n_mc": %d, "kernel": "%s", "unplanned_seconds": %.3f, "planned_seconds": %.3f, "speedup": %.3f, "unplanned_words_per_sample": %.1f, "planned_words_per_sample": %.1f, "bit_identical": %b, "pass": %b}|}
-      (List.length cells) n_points plan_mc (Cell_sim.kernel_name kernel)
-      t_unplanned t_planned speedup wps_unplanned wps_planned identical pass
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_plan.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_plan.json\n";
-  if not pass then begin
-    Printf.eprintf
-      "plan bench FAILED: bit_identical %b, words/sample %.0f planned vs \
-       %.0f unplanned\n"
-      identical wps_planned wps_unplanned;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Sampling: variance-reduced deviate streams vs plain Monte-Carlo.    *)
-(* ------------------------------------------------------------------ *)
-
-let sampling_ref_n = env_int "NSIGMA_BENCH_SAMPLING_REF" 524288
-let sampling_base_n = env_int "NSIGMA_BENCH_SAMPLING_MC" 4096
-let sampling_reps = env_int "NSIGMA_BENCH_SAMPLING_REPS" 8
-
-let sampling_min_reduction =
-  match Sys.getenv_opt "NSIGMA_BENCH_SAMPLING_MIN_REDUCTION" with
-  | Some v -> (try float_of_string v with _ -> 2.0)
-  | None -> 2.0
-
-let sampling_bench () =
-  header "Sampling — variance-reduced streams vs plain Monte-Carlo";
-  (* Accuracy target: the ±3σ-quantile RMSE plain MC reaches with
-     [sampling_base_n] samples, measured over independent replicate
-     seeds and pooled across four characterisation arcs and both tails.
-     For each variance-reduced backend we then walk an n-ladder and
-     report the smallest sample count that matches the target; the
-     reduction is base/matched.  Strength-8 drivers are the regime
-     where stratification pays: wide devices shrink the Pelgrom local
-     mismatch, so the shared global deviates — the dimensions LHS and
-     Sobol' balance hardest — carry most of the delay variance.  At
-     unit strength the local-mismatch dimensions dominate and the tail
-     gains fall towards 1x (the JSON records the workload so the regime
-     is explicit).  The Fast kernel keeps the ~3M arc sims cheap;
-     kernel choice does not affect the sampling comparison. *)
-  let kernel = Cell_sim.Fast in
-  let input_slew = 40e-12 in
-  let workload =
-    [ (Cell.make Inv ~strength:8, `Rise);
-      (Cell.make Inv ~strength:8, `Fall);
-      (Cell.make Nand2 ~strength:8, `Rise);
-      (Cell.make Nand2 ~strength:8, `Fall) ]
-    |> List.map (fun (cell, edge) -> (cell, edge, Cell.fo4_load tech cell))
-  in
-  let tails =
-    [ Quantile.probability_of_sigma (-3.0); Quantile.probability_of_sigma 3.0 ]
-  in
-  let sorted_delays backend ~seed ~n (cell, edge, load) =
-    let s =
-      Monte_carlo.arc_delays_sampled ~exec:(Executor.default ()) ~kernel
-        ~sampling:backend tech (Rng.create ~seed) ~n
-        ~plan:(fun () -> Cell.plan tech cell ~output_edge:edge)
-        ~input_slew ~load_cap:load
-    in
-    let d = Array.copy s.Monte_carlo.s_delays in
-    Array.sort Float.compare d;
-    d
-  in
-  let refs =
-    List.map
-      (fun arc ->
-        Array.of_list
-          (List.map
-             (Quantile.of_sorted
-                (sorted_delays Sampler.Mc ~seed:424242 ~n:sampling_ref_n arc))
-             tails))
-      workload
-  in
-  (* Pooled relative RMSE of the two tail quantiles at sample count [n]. *)
-  let rmse backend n =
-    let acc = ref 0.0 and cnt = ref 0 in
-    for rep = 1 to sampling_reps do
-      List.iteri
-        (fun ai arc ->
-          let sorted = sorted_delays backend ~seed:(1000 + rep) ~n arc in
-          List.iteri
-            (fun ti p ->
-              let q_ref = (List.nth refs ai).(ti) in
-              let e = (Quantile.of_sorted sorted p -. q_ref) /. q_ref in
-              acc := !acc +. (e *. e);
-              incr cnt)
-            tails)
-        workload
-    done;
-    sqrt (!acc /. float_of_int !cnt)
-  in
-  let mc_rmse = rmse Sampler.Mc sampling_base_n in
-  Printf.printf "reference n=%d  reps=%d  mc baseline n=%d rmse %.4f%%\n%!"
-    sampling_ref_n sampling_reps sampling_base_n (pct mc_rmse);
-  let ladder =
-    List.filter (fun n -> n <= sampling_base_n)
-      [ 128; 181; 256; 362; 512; 724; 1024; 1448; 2048; 2896; 4096; 5793;
-        8192 ]
-  in
-  let samples_to_match backend =
-    let rec scan = function
-      | [] -> (sampling_base_n, rmse backend sampling_base_n)
-      | n :: rest ->
-        let r = rmse backend n in
-        Printf.printf "  %-10s n=%5d  rmse %.4f%%%s\n%!"
-          (Sampler.backend_name backend) n (pct r)
-          (if r <= mc_rmse then "  <= mc target" else "");
-        if r <= mc_rmse then (n, r) else scan rest
-    in
-    scan ladder
-  in
-  let n_lhs, rmse_lhs = samples_to_match Sampler.Lhs in
-  let n_sobol, rmse_sobol = samples_to_match Sampler.Sobol in
-  let reduction n = float_of_int sampling_base_n /. float_of_int n in
-  let reduction_lhs = reduction n_lhs in
-  let reduction_sobol = reduction n_sobol in
-  (* The Mc backend must reproduce the legacy per-sample stream bit for
-     bit — same populations, just routed through the sampler. *)
-  let bit_identical_mc =
-    List.for_all
-      (fun (cell, edge, load) ->
-        let plan () = Cell.plan tech cell ~output_edge:edge in
-        let s =
-          Monte_carlo.arc_delays_sampled ~exec:(Executor.default ()) ~kernel
-            ~sampling:Sampler.Mc tech (Rng.create ~seed:7) ~n:512 ~plan
-            ~input_slew ~load_cap:load
-        in
-        let d, sl =
-          Monte_carlo.arc_delays_planned ~exec:(Executor.default ()) ~kernel
-            tech (Rng.create ~seed:7) ~n:512 ~plan ~input_slew ~load_cap:load
-        in
-        s.Monte_carlo.s_delays = d && s.Monte_carlo.s_out_slews = sl)
-      workload
-  in
-  Printf.printf
-    "lhs: n=%d (%.2fx)  sobol: n=%d (%.2fx)  bit-identical mc: %b\n"
-    n_lhs reduction_lhs n_sobol reduction_sobol bit_identical_mc;
-  let pass =
-    bit_identical_mc
-    && reduction_lhs >= sampling_min_reduction
-    && reduction_sobol >= sampling_min_reduction
-  in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "sampling", "kernel": "%s", "workload": "%s", "arcs": %d, "reps": %d, "n_ref": %d, "n_mc": %d, "mc_rmse": %.6f, "n_lhs": %d, "rmse_lhs": %.6f, "n_sobol": %d, "rmse_sobol": %.6f, "reduction_lhs": %.3f, "reduction_sobol": %.3f, "min_reduction": %.2f, "bit_identical_mc": %b, "pass": %b}|}
-      (Cell_sim.kernel_name kernel)
-      (String.concat " "
-         (List.map
-            (fun (cell, edge, _) ->
-              Printf.sprintf "%s/%s" (Cell.name cell)
-                (match edge with `Rise -> "rise" | `Fall -> "fall"))
-            workload))
-      (List.length workload) sampling_reps sampling_ref_n sampling_base_n
-      mc_rmse n_lhs rmse_lhs n_sobol rmse_sobol reduction_lhs reduction_sobol
-      sampling_min_reduction bit_identical_mc pass
-  in
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_sampling.json"
-  in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_sampling.json\n";
-  if not pass then begin
-    Printf.eprintf
-      "sampling bench FAILED: reduction lhs %.2fx sobol %.2fx (need >= \
-       %.2fx), bit_identical_mc %b\n"
-      reduction_lhs reduction_sobol sampling_min_reduction bit_identical_mc;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* SSTA: block-based full-graph pass vs matched-coverage per-path MC.  *)
-(* ------------------------------------------------------------------ *)
-
-let ssta_circuit =
-  match Sys.getenv_opt "NSIGMA_BENCH_SSTA_CIRCUIT" with
-  | Some v when v <> "" -> v
-  | _ -> "c5315" (* largest seed benchmark: 5275 gates, 847 POs *)
-
-let ssta_n = env_int "NSIGMA_BENCH_SSTA_N" 2000
-let ssta_k = env_int "NSIGMA_BENCH_SSTA_K" 128
-
-let ssta_min_speedup =
-  match Sys.getenv_opt "NSIGMA_BENCH_SSTA_MIN_SPEEDUP" with
-  | Some v -> (try float_of_string v with _ -> 20.0)
-  | None -> 20.0
-
-let ssta_max_err =
-  match Sys.getenv_opt "NSIGMA_BENCH_SSTA_MAX_ERR" with
-  | Some v -> (try float_of_string v with _ -> 0.05)
-  | None -> 0.05
-
-let ssta_bench () =
-  header "SSTA — block-based full-graph pass vs matched-coverage path MC";
-  let lib = library () in
-  let nl = (Bm.find ssta_circuit).Bm.generate () in
-  let design = Design.attach_parasitics tech nl in
-  Printf.printf
-    "circuit %s: %d gates, %d nets, %d POs; MC reference: %d worst POs x %d \
-     samples\n%!"
-    ssta_circuit
-    (Array.length nl.N.gates)
-    nl.N.n_nets
-    (Array.length nl.N.primary_outputs)
-    ssta_k ssta_n;
-  (* Enable the registry so the max-operator counters record. *)
-  let was_enabled = Metrics.enabled () in
-  Metrics.set_enabled true;
-  (* One provider shared by both operator configs: its lazy per-net wire
-     and per-cell decomposition caches are a one-time cost, reported
-     separately so the gated speedup measures the steady-state
-     propagation pass (the caches play the role the .lvf cache plays for
-     characterisation). *)
-  let provider = Ssta.lvf_provider tech lib design in
-  let t0 = Unix.gettimeofday () in
-  let _warm =
-    Ssta.validate ~n:8 ~k:ssta_k ~provider
-      ~config:{ Ssta.op = Stat_max.Clark; corr = Ssta.Tracked }
-      tech lib design
-  in
-  let warm_seconds = Unix.gettimeofday () -. t0 in
-  let run op =
-    let v =
-      Ssta.validate ~n:ssta_n ~k:ssta_k ~provider
-        ~config:{ Ssta.op; corr = Ssta.Tracked }
-        tech lib design
-    in
-    Printf.printf
-      "  [%-6s] MC: mu=%.1f +3s=%.1f -3s=%.1f ps (%.2fs)   SSTA: mu=%.1f \
-       +3s=%.1f -3s=%.1f ps (%.3fs)\n"
-      (Stat_max.operator_name op)
-      (ps v.Ssta.va_mc.Moments.mean)
-      (ps v.Ssta.va_mc_p3) (ps v.Ssta.va_mc_m3) v.Ssta.va_mc_seconds
-      (ps v.Ssta.va_ssta.Ssta.d_mean)
-      (ps (Ssta.quantile v.Ssta.va_ssta ~sigma:3.0))
-      (ps (Ssta.quantile v.Ssta.va_ssta ~sigma:(-3.0)))
-      v.Ssta.va_ssta_seconds;
-    Printf.printf
-      "           err: mean %.2f%%  +3s %.2f%%  -3s %.2f%%   speedup %.1fx\n%!"
-      (pct v.Ssta.va_err_mean) (pct v.Ssta.va_err_p3) (pct v.Ssta.va_err_m3)
-      (v.Ssta.va_mc_seconds /. Float.max 1e-9 v.Ssta.va_ssta_seconds);
-    v
-  in
-  let clark = run Stat_max.Clark in
-  (* Clark-vs-moment ablation (arXiv:2401.03588): the moment-matching
-     operator is more accurate per join on skewed inputs, but its
-     marginal-skew overestimates compound over thousands of joins where
-     Clark's symmetric treatment cancels — recorded, not gated. *)
-  let moment = run Stat_max.Moment in
-  let max_ops = Metrics.find_counter "sta.ssta.max_ops" in
-  let max_clark = Metrics.find_counter "sta.ssta.max.clark" in
-  let max_moment = Metrics.find_counter "sta.ssta.max.moment" in
-  Metrics.set_enabled was_enabled;
-  let speedup =
-    clark.Ssta.va_mc_seconds /. Float.max 1e-9 clark.Ssta.va_ssta_seconds
-  in
-  let e_p3 = Float.abs clark.Ssta.va_err_p3 in
-  let e_m3 = Float.abs clark.Ssta.va_err_m3 in
-  Printf.printf
-    "  max operators: %d total (%d clark, %d moment); provider warm-up \
-     %.1fs\n"
-    max_ops max_clark max_moment warm_seconds;
-  let pass =
-    speedup >= ssta_min_speedup && e_p3 <= ssta_max_err && e_m3 <= ssta_max_err
-    && max_ops > 0 && max_clark > 0 && max_moment > 0
-  in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "ssta", "circuit": "%s", "gates": %d, "pos": %d, "mc_paths": %d, "mc_n": %d, "mc_seconds": %.3f, "ssta_seconds": %.4f, "provider_warm_seconds": %.3f, "speedup": %.2f, "min_speedup": %.1f, "max_err": %.3f, "err_mean_pct": %.3f, "err_p3_pct": %.3f, "err_m3_pct": %.3f, "moment_err_mean_pct": %.3f, "moment_err_p3_pct": %.3f, "moment_err_m3_pct": %.3f, "max_ops": %d, "max_clark": %d, "max_moment": %d, "pass": %b}|}
-      ssta_circuit
-      (Array.length nl.N.gates)
-      (Array.length nl.N.primary_outputs)
-      clark.Ssta.va_n_paths clark.Ssta.va_mc_n clark.Ssta.va_mc_seconds
-      clark.Ssta.va_ssta_seconds warm_seconds speedup ssta_min_speedup
-      ssta_max_err
-      (pct clark.Ssta.va_err_mean)
-      (pct clark.Ssta.va_err_p3)
-      (pct clark.Ssta.va_err_m3)
-      (pct moment.Ssta.va_err_mean)
-      (pct moment.Ssta.va_err_p3)
-      (pct moment.Ssta.va_err_m3)
-      max_ops max_clark max_moment pass
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_ssta.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_ssta.json\n";
-  if not pass then begin
-    Printf.eprintf
-      "ssta bench FAILED: speedup %.1fx (need >= %.1fx), |err| +3s %.2f%% \
-       -3s %.2f%% (need <= %.1f%%), max_ops %d (clark %d, moment %d)\n"
-      speedup ssta_min_speedup (pct e_p3) (pct e_m3) (pct ssta_max_err)
-      max_ops max_clark max_moment;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Incremental re-timing: per-edit fan-out-cone re-evaluation vs an   *)
-(* honest from-scratch pass, plus provider-store cold/warm startup.   *)
-(* ------------------------------------------------------------------ *)
-
-let incr_circuit =
-  match Sys.getenv_opt "NSIGMA_BENCH_INCR_CIRCUIT" with
-  | Some v when v <> "" -> v
-  | _ -> "c5315"
-
-let incr_edits = env_int "NSIGMA_BENCH_INCR_EDITS" 24
-
-let incr_min_speedup =
-  match Sys.getenv_opt "NSIGMA_BENCH_INCR_MIN_SPEEDUP" with
-  | Some v -> (try float_of_string v with _ -> 10.0)
-  | None -> 10.0
-
-let incr_max_warm_frac =
-  match Sys.getenv_opt "NSIGMA_BENCH_INCR_MAX_WARM_FRAC" with
-  | Some v -> (try float_of_string v with _ -> 0.05)
-  | None -> 0.05
-
-(* Characterisation-grade regression sampling (the default 128 is a
-   smoke setting: at 128 paired samples the moment-regression
-   coefficients carry ~9% noise).  Shared by the incremental handle,
-   the store-timing handles and every from-scratch provider — the two
-   sides must agree on every provider knob for bitwise identity. *)
-let incr_frac = env_int "NSIGMA_BENCH_INCR_FRAC" 4096
-
-(* Longest downstream distance (in gate stages) from each gate to a
-   primary output — every gate downstream of g has a strictly smaller
-   depth, so depth bounds the re-timing cone. *)
-let downstream_depth (nl : N.t) =
-  let order = N.topo_order nl in
-  let fanouts = N.fanouts_of nl in
-  let depth = Array.make (Array.length nl.N.gates) 0 in
-  for i = Array.length order - 1 downto 0 do
-    let g = order.(i) in
-    depth.(g) <-
-      List.fold_left
-        (fun acc (sg, _) -> if sg >= 0 then max acc (1 + depth.(sg)) else acc)
-        0
-        fanouts.(nl.N.gates.(g).N.output)
-  done;
-  depth
-
-(* A deterministic ECO-shaped workload — cell resizes, wire re-routes
-   and sink-load bumps.  Two-thirds of the edits target the endpoint
-   region (gates within a few stages of a primary output), where timing
-   ECOs actually land — fixing a failing endpoint means touching the
-   last stages of its path; the remaining third lands anywhere, so the
-   recorded speedup distribution also covers deep mid-cone edits whose
-   perturbation cascades through half the circuit.  The same sequence
-   is applied to the incremental design and its from-scratch twin, so
-   every edit must validate against both (they start structurally
-   identical). *)
-let incr_workload st (nl : N.t) n =
-  let fanouts = N.fanouts_of nl in
-  let drivers = N.driver_of nl in
-  let n_gates = Array.length nl.N.gates in
-  let depth = downstream_depth nl in
-  let shallow =
-    List.filter (fun g -> depth.(g) <= 6) (List.init n_gates Fun.id)
-    |> Array.of_list
-  in
-  (* A swap also invalidates its input nets (pin caps), re-timing the
-     input drivers' cones — an endpoint swap site must keep that whole
-     frontier in the endpoint region. *)
-  let shallow_swap =
-    Array.to_list shallow
-    |> List.filter (fun g ->
-           Array.for_all
-             (fun net -> drivers.(net) < 0 || depth.(drivers.(net)) <= 6)
-             nl.N.gates.(g).N.inputs)
-    |> Array.of_list
-  in
-  let pick_from pool fallback =
-    if Array.length pool > 0 then pool.(Random.State.int st (Array.length pool))
-    else fallback ()
-  in
-  let pick_gate endpointish =
-    if endpointish then
-      pick_from shallow (fun () -> Random.State.int st n_gates)
-    else Random.State.int st n_gates
-  in
-  let pick_swap_gate endpointish =
-    if endpointish then
-      pick_from shallow_swap (fun () -> pick_gate endpointish)
-    else Random.State.int st n_gates
-  in
-  let swap ep =
-    let gi = pick_swap_gate ep in
-    let cur = nl.N.gates.(gi).N.cell in
-    let choices =
-      List.filter (fun s -> s <> cur.Cell.strength) Cell.standard_strengths
-    in
-    let strength = List.nth choices (Random.State.int st (List.length choices)) in
-    Edit.Swap_cell { gate = gi; cell = Cell.make cur.Cell.kind ~strength }
-  in
-  let scale ep =
-    let net = nl.N.gates.(pick_gate ep).N.output in
-    Edit.Scale_wire
-      {
-        net;
-        r_scale = 0.8 +. Random.State.float st 0.7;
-        c_scale = 0.8 +. Random.State.float st 0.7;
-      }
-  in
-  let rec bump ep =
-    let net = nl.N.gates.(pick_gate ep).N.output in
-    match List.length fanouts.(net) with
-    | 0 -> bump ep
-    | k ->
-      Edit.Bump_sink_load
-        {
-          net;
-          sink = Random.State.int st k;
-          delta_cap = (0.2 +. Random.State.float st 1.8) *. 1e-15;
-        }
-  in
-  ( Array.length shallow,
-    List.init n (fun i ->
-        let ep = i * 3 < 2 * n in
-        match i mod 3 with 0 -> swap ep | 1 -> scale ep | _ -> bump ep) )
-
-let incr_bench () =
-  header "Incremental re-timing — per-edit cone re-evaluation vs from-scratch";
-  let lib = library () in
-  let nl = (Bm.find incr_circuit).Bm.generate () in
-  let nl_twin = (Bm.find incr_circuit).Bm.generate () in
-  let design = Design.attach_parasitics tech nl in
-  let twin = Design.attach_parasitics tech nl_twin in
-  let n_shallow, edits =
-    incr_workload (Random.State.make [| 0x1ce |]) nl incr_edits
-  in
-  Printf.printf
-    "circuit %s: %d gates, %d nets, %d POs; %d edits (2/3 in the %d-gate \
-     endpoint region, 1/3 anywhere)\n%!"
-    incr_circuit
-    (Array.length nl.N.gates)
-    nl.N.n_nets
-    (Array.length nl.N.primary_outputs)
-    (List.length edits) n_shallow;
-  let was_enabled = Metrics.enabled () in
-  Metrics.set_enabled true;
-  (* Provider store: time the whole per-(cell, edge) regression cost
-     cold (empty store) and store-warm (second fresh handle, same
-     directory) — the warm load must be a small fraction of cold. *)
-  let store_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nsigma_bench_incr_store_%d" (Unix.getpid ()))
-  in
-  (if Sys.file_exists store_dir then
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat store_dir f))
-       (Sys.readdir store_dir)
-   else Unix.mkdir store_dir 0o755);
-  let cold_handle =
-    Ssta.lvf_handle ~frac_samples:incr_frac ~store_dir:(Some store_dir) tech
-      lib design
-  in
-  let t0 = Unix.gettimeofday () in
-  cold_handle.Ssta.h_prewarm ();
-  let cold_s = Unix.gettimeofday () -. t0 in
-  (* Steady-state warm load: best of three fresh handles, so one cold
-     page-cache read or GC pause doesn't swamp a measurement that is
-     only tens of milliseconds of file I/O. *)
-  let warm_once () =
-    let h =
-      Ssta.lvf_handle ~frac_samples:incr_frac ~store_dir:(Some store_dir) tech
-        lib design
-    in
-    let t0 = Unix.gettimeofday () in
-    h.Ssta.h_prewarm ();
-    (Unix.gettimeofday () -. t0, h)
-  in
-  let warm_s, handle =
-    let w1, _ = warm_once () in
-    let w2, _ = warm_once () in
-    let w3, h = warm_once () in
-    (Float.min w1 (Float.min w2 w3), h)
-  in
-  let store_hits = Metrics.find_counter "provider.store.hit" in
-  let store_misses = Metrics.find_counter "provider.store.miss" in
-  let warm_frac = warm_s /. Float.max 1e-9 cold_s in
-  Printf.printf
-    "  provider store: cold %.2fs, warm %.3fs (%.1f%% of cold; %d hits, %d \
-     misses)\n%!"
-    cold_s warm_s (pct warm_frac) store_hits store_misses;
-  let t0 = Unix.gettimeofday () in
-  let inc = Incremental.init tech handle design in
-  let init_s = Unix.gettimeofday () -. t0 in
-  Printf.printf "  initial full pass: %.2fs\n%!" init_s;
-  (* Per edit: incremental apply vs an honest from-scratch re-analysis —
-     fresh provider with the store disabled (cold regressions) plus a
-     full pass — on a twin design receiving the same edit sequence. *)
-  let n_edits = List.length edits in
-  let speedups = Array.make n_edits 0.0 in
-  let all_identical = ref true in
-  let total_dirty = ref 0 and total_cutoffs = ref 0 and total_inval = ref 0 in
-  List.iteri
-    (fun i edit ->
-      (* Describe before applying: a swap reads the current cell. *)
-      let described = Edit.describe nl edit in
-      let stats = Incremental.apply inc edit in
-      let inc_report = Incremental.report inc in
-      ignore (Design.apply_edit twin edit);
-      let t0 = Unix.gettimeofday () in
-      let scratch_provider =
-        Ssta.lvf_provider ~frac_samples:incr_frac ~store_dir:None tech lib twin
-      in
-      let scratch = Ssta.analyze tech scratch_provider twin in
-      let scratch_s = Unix.gettimeofday () -. t0 in
-      let identical = Incremental.reports_bit_identical inc_report scratch in
-      if not identical then all_identical := false;
-      let sp = scratch_s /. Float.max 1e-9 stats.Incremental.st_seconds in
-      speedups.(i) <- sp;
-      total_dirty := !total_dirty + stats.Incremental.st_dirty;
-      total_cutoffs := !total_cutoffs + stats.Incremental.st_cutoffs;
-      total_inval := !total_inval + stats.Incremental.st_invalidated;
-      Printf.printf
-        "  edit %2d: %-44s %7.1f ms vs %5.2f s scratch (%6.1fx, %d dirty, %d \
-         cutoffs%s)\n%!"
-        (i + 1) described
-        (stats.Incremental.st_seconds *. 1e3)
-        scratch_s sp stats.Incremental.st_dirty stats.Incremental.st_cutoffs
-        (if identical then "" else ", NOT BIT-IDENTICAL"))
-    edits;
-  Metrics.set_enabled was_enabled;
-  let sorted = Array.copy speedups in
-  Array.sort compare sorted;
-  let median =
-    if n_edits = 0 then 0.0
-    else if n_edits mod 2 = 1 then sorted.(n_edits / 2)
-    else 0.5 *. (sorted.((n_edits / 2) - 1) +. sorted.(n_edits / 2))
-  in
-  let pass =
-    median >= incr_min_speedup
-    && !all_identical
-    && warm_frac <= incr_max_warm_frac
-  in
-  Printf.printf
-    "  median speedup %.1fx (min %.1fx, max %.1fx); bit-identical %b; warm \
-     store %.1f%% of cold (max %.1f%%)\n"
-    median sorted.(0)
-    sorted.(n_edits - 1)
-    !all_identical (pct warm_frac) (pct incr_max_warm_frac);
-  let speedups_json =
-    String.concat ", "
-      (Array.to_list (Array.map (Printf.sprintf "%.2f") speedups))
-  in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "incr", "circuit": "%s", "gates": %d, "nets": %d, "edits": %d, "init_seconds": %.3f, "median_speedup": %.2f, "min_edit_speedup": %.2f, "max_edit_speedup": %.2f, "speedups": [%s], "min_speedup": %.1f, "bit_identical": %b, "store_cold_seconds": %.3f, "store_warm_seconds": %.4f, "warm_frac": %.4f, "max_warm_frac": %.3f, "store_hits": %d, "store_misses": %d, "dirty_gates": %d, "cutoff_hits": %d, "invalidated_nets": %d, "pass": %b}|}
-      incr_circuit
-      (Array.length nl.N.gates)
-      nl.N.n_nets n_edits init_s median sorted.(0)
-      sorted.(n_edits - 1)
-      speedups_json incr_min_speedup !all_identical cold_s warm_s warm_frac
-      incr_max_warm_frac store_hits store_misses !total_dirty !total_cutoffs
-      !total_inval pass
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_incr.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_incr.json\n";
-  (* The store was scratch space for the cold/warm measurement. *)
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat store_dir f))
-    (Sys.readdir store_dir);
-  (try Unix.rmdir store_dir with Unix.Unix_error _ -> ());
-  if not pass then begin
-    Printf.eprintf
-      "incr bench FAILED: median speedup %.1fx (need >= %.1fx), bit-identical \
-       %b, warm store %.1f%% of cold (need <= %.1f%%)\n"
-      median incr_min_speedup !all_identical (pct warm_frac)
-      (pct incr_max_warm_frac);
-    exit 1
-  end
-
-(* ---------------------------------------------------------------- *)
-(* server: warm-daemon throughput and tail latency against a cold
-   process per query, gated on bit-identity of every served response. *)
-
-let server_queries = env_int "NSIGMA_BENCH_SERVER_QUERIES" 120
-let server_path_n = env_int "NSIGMA_BENCH_SERVER_PATH_MC" 40
-let server_cold_n = env_int "NSIGMA_BENCH_SERVER_COLD" 3
-let server_window = env_int "NSIGMA_BENCH_SERVER_WINDOW" 16
-
-let server_min_speedup =
-  match Sys.getenv_opt "NSIGMA_BENCH_SERVER_MIN_SPEEDUP" with
-  | Some v -> ( try float_of_string v with _ -> 20.0)
-  | None -> 20.0
-
-let server_circuits = [| "c432"; "c5315" |]
-
-(* The replayed workload: (connection, request line) in issue order.
-   Retimes pin to connection 0 / c432 / clark so exactly one session
-   context exists and ssta analyzes on that connection exercise the
-   edited-context path.  The warmup prefix is part of the replay — the
-   bit-identity gate covers the full per-connection sequences — but
-   only the tail is timed, so the throughput number is the steady
-   state, not context builds. *)
-let server_workload () =
-  let nl = (Bm.find "c432").Bm.generate () in
-  let _, edits =
-    incr_workload (Random.State.make [| 7 |]) nl (server_queries + 1)
-  in
-  let edits = ref (List.map (Edit.to_json nl) edits) in
-  let next_edit () =
-    match !edits with
-    | e :: rest ->
-      edits := rest;
-      e
-    | [] -> assert false
-  in
-  let retime_line id =
-    Printf.sprintf
-      {|{"id": %d, "op": "retime", "circuit": "c432", "max": "clark", "edit": %S}|}
-      id (next_edit ())
-  in
-  let warmup =
-    (0, retime_line 9000)
-    :: List.concat_map
-         (fun c ->
-           [
-             ( 1,
-               Printf.sprintf
-                 {|{"id": 9001, "op": "analyze", "circuit": %S, "max": "clark"}|}
-                 c );
-             ( 1,
-               Printf.sprintf
-                 {|{"id": 9002, "op": "analyze", "circuit": %S, "max": "moment"}|}
-                 c );
-             ( 1,
-               Printf.sprintf
-                 {|{"id": 9003, "op": "analyze", "circuit": %S, "engine": "scalar"}|}
-                 c );
-             ( 1,
-               Printf.sprintf
-                 {|{"id": 9004, "op": "path_mc", "circuit": %S, "n": %d}|} c
-                 server_path_n );
-           ])
-         (Array.to_list server_circuits)
-  in
-  let st = Random.State.make [| 11; server_queries |] in
-  let timed =
-    List.init server_queries (fun i ->
-        let id = i + 1 in
-        let conn = i mod 3 in
-        let circuit = server_circuits.(Random.State.int st 2) in
-        let r = Random.State.int st 100 in
-        if r < 50 then
-          let op = if Random.State.bool st then "clark" else "moment" in
-          ( conn,
-            Printf.sprintf
-              {|{"id": %d, "op": "analyze", "circuit": %S, "max": %S}|} id
-              circuit op )
-        else if r < 65 then
-          ( conn,
-            Printf.sprintf
-              {|{"id": %d, "op": "analyze", "circuit": %S, "engine": "scalar"}|}
-              id circuit )
-        else if r < 85 then
-          ( conn,
-            Printf.sprintf
-              {|{"id": %d, "op": "path_mc", "circuit": %S, "n": %d}|} id
-              circuit server_path_n )
-        else (0, retime_line id))
-  in
-  (warmup, timed)
-
-let server_pct sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    sorted.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
-
-let server_bench () =
-  header "Timing server — warm daemon vs a cold process per query";
-  let lib = library () in
-  let lvf_path =
-    Printf.sprintf "bench_cache_%.2fV_mc%d.lvf" tech.T.vdd_nominal lib_mc
-  in
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nsigma_bench_server_%d.sock" (Unix.getpid ()))
-  in
-  (try Sys.remove socket with Sys_error _ -> ());
-  let warmup, timed = server_workload () in
-  Printf.printf
-    "workload: %d warmup + %d timed queries over 3 connections (path_mc \
-     n=%d, window %d)\n\
-     %!"
-    (List.length warmup) (List.length timed) server_path_n server_window;
-  (* The daemon is this same binary re-executed in __serve mode —
-     fork+exec, never a bare fork: forking the bench process after a
-     domain pool has run can deadlock OCaml 5's stop-the-world
-     sections. *)
-  let t_spawn = Unix.gettimeofday () in
-  let pid =
-    Unix.create_process Sys.executable_name
-      [| Sys.executable_name; "__serve"; socket; lvf_path |]
-      Unix.stdin Unix.stdout Unix.stderr
-  in
-  let conns =
-    Array.init 3 (fun _ -> Sclient.connect ~retries:1200 ~socket ())
-  in
-  let startup_s = Unix.gettimeofday () -. t_spawn in
-  Printf.printf "daemon pid %d ready in %.2fs on %s\n%!" pid startup_s socket;
-  let warm_resps =
-    List.map (fun (c, line) -> (c, line, Sclient.request conns.(c) line)) warmup
-  in
-  let timed_arr = Array.of_list timed in
-  let n_timed = Array.length timed_arr in
-  let resps = Array.make n_timed "" in
-  let lats = Array.make n_timed 0.0 in
-  let t0 = Unix.gettimeofday () in
-  let i = ref 0 in
-  while !i < n_timed do
-    let j = min n_timed (!i + server_window) in
-    let sent = Array.make (j - !i) 0.0 in
-    for k = !i to j - 1 do
-      let c, line = timed_arr.(k) in
-      sent.(k - !i) <- Unix.gettimeofday ();
-      Sclient.send conns.(c) line
-    done;
-    for k = !i to j - 1 do
-      let c, _ = timed_arr.(k) in
-      resps.(k) <- Sclient.recv conns.(c);
-      lats.(k) <- Unix.gettimeofday () -. sent.(k - !i)
-    done;
-    i := j
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  let warm_qps = float_of_int n_timed /. wall in
-  let stats =
-    Sproto.parse_line (Sclient.request conns.(0) {|{"id": 0, "op": "stats"}|})
-  in
-  let stat name = int_of_float (Sproto.num_field stats name) in
-  let batched = stat "batched" in
-  let cache_hits = stat "cache_hits" in
-  Unix.kill pid Sys.sigterm;
-  let _, status = Unix.waitpid [] pid in
-  Array.iter Sclient.close conns;
-  let clean_exit = status = Unix.WEXITED 0 in
-  (* Bit-identity: replay the exact per-connection sequences through a
-     fresh in-process server and compare every response line. *)
-  let replay = Server.create (Server.default_config tech lib) in
-  let identical = ref true in
-  let check c line daemon_resp =
-    let local = Server.handle replay ~session:c line in
-    if local <> daemon_resp then begin
-      identical := false;
-      Printf.printf "  MISMATCH (conn %d): %s\n    daemon: %s\n    local:  %s\n"
-        c line daemon_resp local
-    end
-  in
-  List.iter (fun (c, line, resp) -> check c line resp) warm_resps;
-  Array.iteri
-    (fun k resp ->
-      let c, line = timed_arr.(k) in
-      check c line resp)
-    resps;
-  (* Cold baseline: what one query costs when every process pays the
-     library load and context build — the one-shot CLI shape. *)
-  let cold_lines =
-    [
-      {|{"id": 1, "op": "analyze", "circuit": "c432", "max": "clark"}|};
-      {|{"id": 2, "op": "analyze", "circuit": "c5315", "max": "clark"}|};
-      Printf.sprintf {|{"id": 3, "op": "path_mc", "circuit": "c432", "n": %d}|}
-        server_path_n;
-    ]
-  in
-  let cold_samples =
-    List.init server_cold_n (fun k ->
-        let line = List.nth cold_lines (k mod List.length cold_lines) in
-        let t0 = Unix.gettimeofday () in
-        let lib_cold = Library.load tech lvf_path in
-        let srv = Server.create (Server.default_config tech lib_cold) in
-        let resp = Server.handle srv ~session:0 line in
-        assert (String.length resp > 0);
-        Unix.gettimeofday () -. t0)
-  in
-  let cold_mean = avg cold_samples in
-  let cold_qps = 1.0 /. cold_mean in
-  let speedup = warm_qps /. cold_qps in
-  let sorted_lats = Array.copy lats in
-  Array.sort Float.compare sorted_lats;
-  let p50 = server_pct sorted_lats 0.50 in
-  let p95 = server_pct sorted_lats 0.95 in
-  let p99 = server_pct sorted_lats 0.99 in
-  Printf.printf
-    "warm: %d queries in %.2fs = %.1f q/s; latency p50 %.2fms p95 %.2fms \
-     p99 %.2fms\n"
-    n_timed wall warm_qps (p50 *. 1e3) (p95 *. 1e3) (p99 *. 1e3);
-  Printf.printf
-    "cold: %.3fs per query (%d samples: library load + context + answer) = \
-     %.2f q/s\n"
-    cold_mean server_cold_n cold_qps;
-  Printf.printf
-    "speedup %.0fx (gate >= %.0fx); coalesced %d; context cache hits %d; \
-     bit-identical %b; clean exit %b\n"
-    speedup server_min_speedup batched cache_hits !identical clean_exit;
-  let pass = speedup >= server_min_speedup && !identical && clean_exit in
-  let json =
-    Printf.sprintf
-      {|{"experiment": "server", "queries": %d, "warmup": %d, "connections": 3, "window": %d, "path_mc_n": %d, "lib_mc": %d, "startup_seconds": %.2f, "wall_seconds": %.3f, "warm_qps": %.1f, "p50_ms": %.3f, "p95_ms": %.3f, "p99_ms": %.3f, "cold_samples": %d, "cold_seconds_mean": %.3f, "cold_qps": %.3f, "speedup": %.1f, "min_speedup": %.1f, "batched": %d, "cache_hits": %d, "bit_identical": %b, "clean_exit": %b, "pass": %b}|}
-      n_timed (List.length warmup) server_window server_path_n lib_mc
-      startup_s wall warm_qps (p50 *. 1e3) (p95 *. 1e3) (p99 *. 1e3)
-      server_cold_n cold_mean cold_qps speedup server_min_speedup batched
-      cache_hits !identical clean_exit pass
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_server.json" in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Printf.printf "  appended to BENCH_server.json\n";
-  if not pass then begin
-    Printf.eprintf
-      "server bench FAILED: speedup %.1fx (need >= %.1fx), bit-identical %b, \
-       clean exit %b\n"
-      speedup server_min_speedup !identical clean_exit;
-    exit 1
-  end
-
 (* Every experiment the dispatch below accepts, in menu order — the
    single source for both the usage line and the unknown-name error. *)
 let experiments =
   [ "fig2"; "fig3"; "fig4"; "table1"; "table2"; "fig7"; "fig8"; "fig9";
-    "fig10"; "fig11"; "table3"; "speedup"; "exec"; "kernel"; "obs"; "trace";
-    "plan"; "sampling"; "ssta"; "incr"; "server"; "ablation";
-    "highsigma"; "micro"; "all" ]
+    "fig10"; "fig11"; "table3"; "speedup"; "ablation"; "highsigma"; "all" ]
 
 let usage () =
   Printf.printf
@@ -2315,20 +843,6 @@ let rec extract_jobs acc = function
   | a :: rest when String.starts_with ~prefix:"--jobs=" a ->
     (List.rev_append acc rest, Some (String.sub a 7 (String.length a - 7)))
   | a :: rest -> extract_jobs (a :: acc) rest
-
-(* Hidden daemon mode for the server bench: [main.exe __serve SOCKET
-   LVF] re-executes this binary as the long-lived timing server.  The
-   bench spawns it with fork+exec ([Unix.create_process]) instead of
-   forking the already-running bench process, which could deadlock
-   OCaml 5's stop-the-world sections once a domain pool has run. *)
-let () =
-  if Array.length Sys.argv = 4 && Sys.argv.(1) = "__serve" then begin
-    let socket = Sys.argv.(2) and lvf = Sys.argv.(3) in
-    let lib = Library.load tech lvf in
-    let srv = Server.create (Server.default_config tech lib) in
-    Server.run srv ~socket ();
-    exit 0
-  end
 
 (* [--metrics FILE] enables the metrics registry and writes the JSON run
    report at exit (FILE = "-" prints a summary table to stderr). *)
@@ -2379,18 +893,8 @@ let () =
   | "table3" :: [] -> table3 ()
   | "table3" :: circuits -> table3 ~circuits ()
   | "speedup" :: _ -> speedup ()
-  | "exec" :: _ -> exec_speedup ()
-  | "kernel" :: _ -> kernel_bench ()
-  | "obs" :: _ -> obs_bench ()
-  | "trace" :: _ -> trace_bench ()
-  | "plan" :: _ -> plan_bench ()
-  | "sampling" :: _ -> sampling_bench ()
-  | "ssta" :: _ -> ssta_bench ()
-  | "incr" :: _ -> incr_bench ()
-  | "server" :: _ -> server_bench ()
   | "ablation" :: _ -> ablation ()
   | "highsigma" :: _ -> highsigma ()
-  | "micro" :: _ -> micro ()
   | ("--help" | "-h" | "help") :: _ -> usage ()
   | name :: _ -> unknown_experiment name);
   Printf.printf "\n[bench] total wall time %.1fs\n" (Unix.gettimeofday () -. t0)

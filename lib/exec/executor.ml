@@ -34,7 +34,8 @@ let env_jobs () =
 let auto_jobs () = max 1 (Domain.recommended_domain_count ())
 
 (* With OCaml 5's stop-the-world minor GC, more domains than cores is a
-   slowdown, never a speedup (BENCH_exec.json).  Requests above the
+   slowdown, never a speedup (the e2e charlib workload's
+   exec.pool_speedup measures the pool).  Requests above the
    recommended count are clamped; the warning fires once per process so
    batch sweeps don't flood stderr (and NSIGMA_LOG=quiet drops it). *)
 let oversubscription_warned = Atomic.make false

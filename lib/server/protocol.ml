@@ -218,6 +218,11 @@ let encode framing line =
   | Jsonl -> line ^ "\n"
   | Length_prefixed -> Printf.sprintf "%d:%s" (String.length line) line
 
+(* Far above any message the protocol carries (the largest request
+   and response of the e2e serve mix are under 300 bytes), yet small
+   enough that one client cannot make the daemon buffer without bound. *)
+let max_frame = 1 lsl 20
+
 type decoder = { d_framing : framing; mutable d_buf : string }
 
 let decoder framing = { d_framing = framing; d_buf = "" }
@@ -232,7 +237,12 @@ let next d =
   match d.d_framing with
   | Jsonl -> (
     match String.index_opt d.d_buf '\n' with
-    | None -> None
+    | None ->
+      if String.length d.d_buf > max_frame then
+        fail "frame exceeds %d bytes with no newline" max_frame;
+      None
+    | Some i when i > max_frame ->
+      fail "frame of %d bytes exceeds %d" i max_frame
     | Some i ->
       let line = strip_cr (String.sub d.d_buf 0 i) in
       d.d_buf <- String.sub d.d_buf (i + 1) (String.length d.d_buf - i - 1);
@@ -249,6 +259,8 @@ let next d =
     | Some i -> (
       let tok = String.sub d.d_buf 0 i in
       match int_of_string_opt tok with
+      | Some len when len > max_frame ->
+        fail "frame of %d bytes exceeds %d" len max_frame
       | Some len when len >= 0 ->
         let total = i + 1 + len in
         if String.length d.d_buf < total then None

@@ -68,6 +68,9 @@ type decoder
 (** Incremental de-framer: feed raw received bytes in, pull complete
     messages out, independent of how reads split the stream. *)
 
+val max_frame : int
+(** Largest message, in bytes, a {!decoder} accepts (1 MiB). *)
+
 val decoder : framing -> decoder
 
 val feed : decoder -> bytes -> int -> unit
@@ -76,7 +79,10 @@ val feed : decoder -> bytes -> int -> unit
 val next : decoder -> string option
 (** The next complete message, de-framed ([Jsonl] strips the newline
     and any trailing [\r]), or [None] when more bytes are needed.
-    @raise Protocol_error on a malformed length prefix. *)
+    @raise Protocol_error on a malformed length prefix, or on a message
+    longer than {!max_frame} bytes — declared by its length prefix, or
+    a [Jsonl] line (counting any [\r]) or newline-free buffer past the
+    cap. *)
 
 val pending : decoder -> bool
 (** Whether un-consumed bytes remain buffered (a partial message). *)

@@ -296,10 +296,14 @@ let kernel_of_name = function
   | "auto" -> Cell_sim.Auto
   | s -> P.fail "unknown kernel %S (available: fast, rk4, auto)" s
 
+let max_path_mc_n = 50_000
+
 let do_path_mc t fields =
   let circuit = P.str_field fields "circuit" in
   let n = P.opt_int_field fields "n" ~default:200 in
   if n <= 0 then P.fail "field \"n\" must be positive, got %d" n;
+  if n > max_path_mc_n then
+    P.fail "field \"n\" must be at most %d, got %d" max_path_mc_n n;
   let sigma = P.opt_int_field fields "sigma" ~default:3 in
   let kernel =
     kernel_of_name (P.opt_str_field fields "kernel" ~default:"fast")

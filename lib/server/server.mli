@@ -18,7 +18,8 @@
       ("clark" default, or "moment"), ["sigma"] (default 3),
       ["period"] (ps, default the +3σ arrival).  Reports mean/std and
       ±σ quantiles (seconds), plus WNS/TNS for ssta.
-    - [path_mc] — ["circuit"], ["n"] (default 200), ["sigma"] (integer,
+    - [path_mc] — ["circuit"], ["n"] (default 200, at most
+      {!max_path_mc_n}), ["sigma"] (integer,
       default 3), ["kernel"] ("fast" default — interactive serving —
       or "rk4"/"auto").  Monte-Carlo on the nominal critical path with
       the plain Mc deviate stream, seed-per-index deterministic.
@@ -39,14 +40,18 @@
     {b Determinism.}  Responses are a pure function of the request
     sequence of a session (never of batching, connection interleaving
     or cache state), so a warm server's responses are byte-identical
-    to replaying the same lines through a fresh [t] — the bench and CI
-    bit-identity gates compare exactly that.
+    to replaying the same lines through a fresh [t] — the test_server
+    and e2e serve bit-identity gates compare exactly that.
 
     {b Telemetry.}  [server.{requests,batched,errors,cache.hit,
     cache.miss}] counters, [server.{inflight,sessions}] gauges and
     per-class [server.latency.{analyze,path_mc,retime,misc}]
     histograms (p50/p95/p99 in snapshots); each request runs under a
     [server.<op>] trace span when tracing is enabled. *)
+
+val max_path_mc_n : int
+(** Largest [path_mc] sample count served (50,000): one request must
+    not hold the single-threaded daemon for minutes. *)
 
 type config = {
   tech : Nsigma_process.Technology.t;

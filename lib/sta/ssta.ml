@@ -269,11 +269,12 @@ let join_dist (cfg : config) (a : dist) (b : dist) =
   let rho = rho_of cfg.corr a b in
   let sa = to_summary a and sb = to_summary b in
   let r = Stat_max.apply cfg.op ~rho sa sb in
-  (* The Clark-vs-moment disagreement costs a second max evaluation, so
-     it is computed only when something records it; it reads the same
-     inputs and never feeds back into the arrival, keeping the
+  Metrics.observe h_max_tightness r.Stat_max.p_first;
+  (* The Clark-vs-moment disagreement costs a second max evaluation —
+     as much as the join itself — so only a trace pays for it; it reads
+     the same inputs and never feeds back into the arrival, keeping the
      propagated graph identical with observability on or off. *)
-  if Metrics.enabled () || Trace.enabled () then begin
+  if Trace.enabled () then begin
     let alt =
       Stat_max.apply
         (match cfg.op with
@@ -284,10 +285,8 @@ let join_dist (cfg : config) (a : dist) (b : dist) =
     let delta =
       Float.abs (r.Stat_max.dist.Moments.mean -. alt.Stat_max.dist.Moments.mean)
     in
-    Metrics.observe h_max_tightness r.Stat_max.p_first;
     Metrics.observe h_max_delta delta;
-    if Trace.enabled () then
-      Trace.instant tr_max ~a:r.Stat_max.p_first ~b:delta ~c:rho ()
+    Trace.instant tr_max ~a:r.Stat_max.p_first ~b:delta ~c:rho ()
   end;
   resplit r a b
 
@@ -913,6 +912,8 @@ type validation = {
   va_mc : Moments.summary;  (** max-over-covered-paths population *)
   va_mc_p3 : float;  (** +3 sigma-level empirical quantile *)
   va_mc_m3 : float;  (** -3 sigma-level empirical quantile *)
+  va_mc_p3_ci : float * float;  (** 95% interval of [va_mc_p3] *)
+  va_mc_m3_ci : float * float;  (** 95% interval of [va_mc_m3] *)
   va_ssta : dist;  (** statistical max over the same covered POs *)
   va_ssta_full : dist;  (** full-circuit dist (all POs) *)
   va_err_mean : float;  (** relative mean error vs MC *)
@@ -955,6 +956,8 @@ let validate ?(n = 1000) ?(k = 16) ?(seed = 97) ?(config = default_config)
   Array.sort Float.compare sorted;
   let mc_p3 = Quantile.of_sorted sorted (Quantile.probability_of_sigma 3.0) in
   let mc_m3 = Quantile.of_sorted sorted (Quantile.probability_of_sigma (-3.0)) in
+  let mc_p3_ci = Quantile.ci sorted (Quantile.probability_of_sigma 3.0) in
+  let mc_m3_ci = Quantile.ci sorted (Quantile.probability_of_sigma (-3.0)) in
   let t1 = Metrics.now () in
   let provider =
     match provider with Some p -> p | None -> lvf_provider tech lib design
@@ -988,6 +991,8 @@ let validate ?(n = 1000) ?(k = 16) ?(seed = 97) ?(config = default_config)
     va_mc = mc;
     va_mc_p3 = mc_p3;
     va_mc_m3 = mc_m3;
+    va_mc_p3_ci = mc_p3_ci;
+    va_mc_m3_ci = mc_m3_ci;
     va_ssta = ssta_covered;
     va_ssta_full = circuit_dist report;
     va_err_mean = rel ssta_covered.d_mean mc.Moments.mean;

@@ -216,6 +216,9 @@ type validation = {
   va_mc : Nsigma_stats.Moments.summary;  (** max-over-covered-paths population *)
   va_mc_p3 : float;  (** +3 sigma-level empirical quantile *)
   va_mc_m3 : float;  (** −3 sigma-level empirical quantile *)
+  va_mc_p3_ci : float * float;
+      (** 95% distribution-free interval of [va_mc_p3] ({!Nsigma_stats.Quantile.ci}) *)
+  va_mc_m3_ci : float * float;  (** the same for [va_mc_m3] *)
   va_ssta : dist;  (** statistical max over the same covered POs *)
   va_ssta_full : dist;  (** full-circuit dist (all POs) *)
   va_err_mean : float;  (** relative mean error vs MC *)

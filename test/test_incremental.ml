@@ -238,13 +238,25 @@ let test_cutoff_on_invisible_edit () =
     Incremental.init tech (Ssta.handle_of_provider (const_provider d)) design
   in
   let before = Incremental.report inc in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let counter name = Metrics.find_counter ("sta.incr." ^ name) in
+  let edits0 = counter "edits" and cut0 = counter "cutoff_hits" in
+  let dirty0 = counter "dirty_gates" and inval0 = counter "invalidated_nets" in
   let stats =
     Incremental.apply inc
       (Edit.Bump_sink_load { net = 3; sink = 0; delta_cap = 1e-15 })
   in
+  Metrics.set_enabled was;
   Alcotest.(check bool) "dirty stays at the frontier" true
     (stats.Incremental.st_dirty <= 3);
   Alcotest.(check bool) "cutoffs recorded" true (stats.Incremental.st_cutoffs >= 1);
+  (* The run-report counters mirror the returned work stats. *)
+  Alcotest.(check (list int)) "sta.incr.* counters"
+    [ 1; stats.Incremental.st_cutoffs; stats.Incremental.st_dirty;
+      stats.Incremental.st_invalidated ]
+    [ counter "edits" - edits0; counter "cutoff_hits" - cut0;
+      counter "dirty_gates" - dirty0; counter "invalidated_nets" - inval0 ];
   Alcotest.(check bool) "report unchanged" true
     (Incremental.reports_bit_identical before (Incremental.report inc))
 

@@ -223,6 +223,37 @@ let test_non_convergence_counted () =
         "surfaced as mc.non_convergent" 10
         (Metrics.find_counter "mc.non_convergent" - before))
 
+(* The per-layer counters and timers run reports are read for tick when
+   their layer works under Metrics: both kernels, the plan layer's fills
+   and the adaptive sampler's batches and saved samples. *)
+let test_layer_counters () =
+  with_metrics (fun () ->
+      ignore (small_table () : Ch.table);
+      let cell = Cell.make Cell.Inv ~strength:1 in
+      let arc =
+        Cell.arc tech Nsigma_process.Variation.nominal cell ~output_edge:`Fall
+      in
+      ignore (Cell_sim.simulate tech arc ~input_slew:20e-12 ~load_cap:1e-15);
+      ignore
+        (Monte_carlo.arc_delays_sampled ~exec:Executor.sequential
+           ~kernel:Cell_sim.Fast ~sampling:Nsigma_stats.Sampler.Lhs ~rtol:0.5
+           tech (Rng.create ~seed:3) ~n:1024
+           ~plan:(fun () -> Cell.plan tech cell ~output_edge:`Rise)
+           ~input_slew:20e-12 ~load_cap:1e-15);
+      List.iter
+        (fun key ->
+          if Metrics.find_counter key <= 0 then
+            Alcotest.failf "counter %s did not tick" key)
+        [ "kernel.fast.calls"; "kernel.rk4.calls"; "plan.fills";
+          "sampling.batches"; "sampling.samples_saved" ];
+      let timers = (Metrics.snapshot ()).Metrics.s_timers in
+      List.iter
+        (fun key ->
+          match List.assoc_opt key timers with
+          | Some (n, _) when n > 0 -> ()
+          | _ -> Alcotest.failf "timer %s did not tick" key)
+        [ "plan.compile.seconds"; "plan.fill.seconds" ])
+
 let test_lvf_cache_metrics () =
   with_metrics (fun () ->
       let path = Filename.temp_file "nsigma_obs_cache" ".lvf" in
@@ -359,6 +390,7 @@ let () =
             test_non_convergence_counted;
           Alcotest.test_case "lvf cache hit/miss/stale" `Quick
             test_lvf_cache_metrics;
+          Alcotest.test_case "layer counters tick" `Quick test_layer_counters;
         ] );
       ( "report",
         [

@@ -701,12 +701,11 @@ let test_pcm_kernel_reduction () =
     Alcotest.failf "pcm reduction %.2fx at n=%d (%d collocations), need >= 8x"
       reduction n evals
 
-(* PCM's surrogate bias must stay within [slack] of plain MC's sampling
-   error at the same sample count: relative RMSE of the ±3σ quantiles
-   over the workload and [reps] seeds, against a large plain-MC
-   reference population. *)
-let test_pcm_tail_rmse () =
-  let n = 512 and n_ref = 8192 and reps = 2 and slack = 4.0 in
+(* Relative RMSE of the ±3σ quantiles at [n] samples, pooled over
+   [workload] and [reps] replicate seeds, against a plain-MC reference
+   of [n_ref] samples per arc.  Partially applied to its reference, it
+   scores any backend at any sample count against the same target. *)
+let tail_rmse ~n_ref ~reps workload =
   let tails =
     [ Quantile.probability_of_sigma (-3.0); Quantile.probability_of_sigma 3.0 ]
   in
@@ -721,7 +720,6 @@ let test_pcm_tail_rmse () =
     Array.sort Float.compare d;
     d
   in
-  let workload = pcm_workload () in
   let refs =
     List.map
       (fun arc ->
@@ -729,7 +727,7 @@ let test_pcm_tail_rmse () =
         List.map (Quantile.of_sorted sorted) tails)
       workload
   in
-  let rmse sampling =
+  fun sampling n ->
     let acc = ref 0.0 and cnt = ref 0 in
     for rep = 1 to reps do
       List.iter2
@@ -744,11 +742,48 @@ let test_pcm_tail_rmse () =
         workload refs
     done;
     sqrt (!acc /. float_of_int !cnt)
-  in
-  let mc = rmse Sampler.Mc and pcm = rmse Sampler.Pcm in
+
+(* PCM's surrogate bias must stay within [slack] of plain MC's sampling
+   error at the same sample count. *)
+let test_pcm_tail_rmse () =
+  let n = 512 and slack = 4.0 in
+  let rmse = tail_rmse ~n_ref:8192 ~reps:2 (pcm_workload ()) in
+  let mc = rmse Sampler.Mc n and pcm = rmse Sampler.Pcm n in
   if pcm > slack *. mc then
     Alcotest.failf "pcm ±3σ rmse %.4f%% exceeds %.1f x mc rmse %.4f%%"
       (100.0 *. pcm) slack (100.0 *. mc)
+
+(* The stratified backends' acceptance gate: LHS and Sobol' must reach
+   the ±3σ RMSE plain MC has at [base] samples with at least 2x fewer
+   samples.  Strength-8 drivers are the regime where stratification
+   pays: wide devices shrink the Pelgrom local mismatch, so the shared
+   global deviates, the dimensions LHS and Sobol' balance hardest,
+   carry most of the delay variance (at unit strength the gain falls
+   towards 1x).  The ladder stops at base/2, so any match is a >= 2x
+   reduction. *)
+let test_stratified_sample_reduction () =
+  let base = 4096 and ladder = [ 512; 1024; 2048 ] in
+  let workload =
+    [ (Cell.make Inv ~strength:8, `Rise);
+      (Cell.make Inv ~strength:8, `Fall);
+      (Cell.make Nand2 ~strength:8, `Rise);
+      (Cell.make Nand2 ~strength:8, `Fall) ]
+    |> List.map (fun (cell, edge) -> (cell, edge, Cell.fo4_load tech cell))
+  in
+  let rmse = tail_rmse ~n_ref:131072 ~reps:8 workload in
+  let target = rmse Sampler.Mc base in
+  List.iter
+    (fun backend ->
+      let scores = List.map (fun n -> (n, rmse backend n)) ladder in
+      if not (List.exists (fun (_, r) -> r <= target) scores) then
+        Alcotest.failf
+          "%s misses mc's ±3σ rmse %.4f%% (n=%d) at every n <= %d: %s"
+          (Sampler.backend_name backend) (100.0 *. target) base (base / 2)
+          (String.concat ", "
+             (List.map
+                (fun (n, r) -> Printf.sprintf "n=%d %.4f%%" n (100.0 *. r))
+                scores)))
+    [ Sampler.Lhs; Sampler.Sobol ]
 
 let () =
   Alcotest.run "sampler"
@@ -806,5 +841,7 @@ let () =
             test_adaptive_path;
           Alcotest.test_case "variance reduction smoke" `Quick
             test_variance_reduction_smoke;
+          Alcotest.test_case "lhs and sobol reach mc ±3σ rmse at n/2" `Slow
+            test_stratified_sample_reduction;
         ] );
     ]

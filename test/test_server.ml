@@ -141,6 +141,50 @@ let test_framing_length_prefixed () =
     && P.framing_of_name (P.framing_name P.Length_prefixed)
        = P.Length_prefixed)
 
+(* The decoder's frame cap, over both framings and any read boundaries:
+   a message of exactly [P.max_frame] bytes decodes (with the frame
+   behind it), one byte more is a [Protocol_error] before any message
+   comes out.  Every chunk is drained the way the daemon drains. *)
+let prop_frame_cap =
+  QCheck.Test.make ~count:60 ~name:"frame cap over random splits"
+    QCheck.(
+      triple bool (int_bound 2)
+        (list_of_size (Gen.int_bound 6) (float_bound_inclusive 1.0)))
+    (fun (jsonl, size_class, cuts) ->
+      let framing = if jsonl then P.Jsonl else P.Length_prefixed in
+      let size =
+        match size_class with
+        | 0 -> 1 + (List.length cuts * 37)
+        | 1 -> P.max_frame
+        | _ -> P.max_frame + 1
+      in
+      let msg = String.make size 'x' in
+      let wire = P.encode framing msg ^ P.encode framing "{}" in
+      let len = String.length wire in
+      let bounds =
+        List.sort_uniq compare
+          (0 :: len :: List.map (fun f -> int_of_float (f *. float_of_int len)) cuts)
+      in
+      let dec = P.decoder framing in
+      let got = ref [] in
+      let rec drain () =
+        match P.next dec with
+        | Some m ->
+          got := m :: !got;
+          drain ()
+        | None -> ()
+      in
+      let rec go = function
+        | a :: (b :: _ as rest) ->
+          feed_string dec (String.sub wire a (b - a));
+          drain ();
+          go rest
+        | _ -> ()
+      in
+      match go bounds with
+      | () -> size <= P.max_frame && List.rev !got = [ msg; "{}" ]
+      | exception P.Protocol_error _ -> size > P.max_frame && !got = [])
+
 (* ---------- LRU ---------- *)
 
 let test_lru_eviction_order () =
@@ -163,11 +207,27 @@ let test_lru_eviction_order () =
 (* ---------- dispatch ---------- *)
 
 let test_ping_and_stats () =
+  let module Metrics = Nsigma_obs.Metrics in
   let s = server () in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let misc () =
+    match
+      List.assoc_opt "server.latency.misc"
+        (Metrics.snapshot ()).Metrics.s_histograms
+    with
+    | Some h -> h.Metrics.h_count
+    | None -> 0
+  in
+  let requests0 = Metrics.find_counter "server.requests" and misc0 = misc () in
   let ping = check_ok "ping" (Server.handle s ~session:0 {|{"id": 1, "op": "ping"}|}) in
   Alcotest.(check bool) "id echoed" true
     (P.find ping "id" = Some (P.Jnum 1.0));
   ignore (Server.handle s ~session:0 {|{"id": 2, "op": "ping"}|} : string);
+  Alcotest.(check (pair int int)) "server.requests and latency histogram"
+    (2, 2)
+    (Metrics.find_counter "server.requests" - requests0, misc () - misc0);
+  Metrics.set_enabled was;
   let stats =
     check_ok "stats" (Server.handle s ~session:0 {|{"id": 3, "op": "stats"}|})
   in
@@ -233,12 +293,17 @@ let test_error_responses () =
   ignore
     (err "bad edit" {|{"id": 3, "op": "retime", "circuit": "c432-small", "edit": "not json"}|}
        "");
+  ignore
+    (err "path_mc n above the bound"
+       (Printf.sprintf {|{"id": 5, "op": "path_mc", "circuit": "c432-small", "n": %d}|}
+          (Server.max_path_mc_n + 1))
+       "at most");
   let bad = err "malformed line" "{oops" "" in
   Alcotest.(check bool) "unparsable request answers id null" true
     (P.find bad "id" = Some P.Jnull);
   (* the connection-level contract: errors never raise *)
   let stats = parse_resp (Server.handle s ~session:0 {|{"id": 4, "op": "stats"}|}) in
-  Alcotest.(check bool) "errors counted" true (P.int_field stats "errors" >= 4)
+  Alcotest.(check bool) "errors counted" true (P.int_field stats "errors" >= 5)
 
 let scale_edit_line ~id =
   (* Doubling one wire's RC on the pristine c432-small netlist: a
@@ -302,7 +367,7 @@ let test_bit_identity_replay () =
 (* ---------- daemon smoke ---------- *)
 
 let test_daemon_socket_smoke () =
-  (* Spawn this test binary in its hidden [__serve] mode (fork+exec —
+  (* Spawn this test binary in its hidden [__daemon] mode (fork+exec —
      never a bare fork once domains may have run), talk to it over the
      socket with the client codec, then SIGTERM and expect a clean
      drain. *)
@@ -317,7 +382,7 @@ let test_daemon_socket_smoke () =
   flush stderr;
   let pid =
     Unix.create_process Sys.executable_name
-      [| Sys.executable_name; "__serve"; socket |]
+      [| Sys.executable_name; "__daemon"; socket |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   let finish () =
@@ -368,7 +433,7 @@ let test_daemon_sigterm_skips_closed_peer () =
   flush stderr;
   let pid =
     Unix.create_process Sys.executable_name
-      [| Sys.executable_name; "__serve"; socket |]
+      [| Sys.executable_name; "__daemon"; socket |]
       Unix.stdin Unix.stdout Unix.stderr
   in
   let finish () =
@@ -422,10 +487,10 @@ let test_daemon_sigterm_skips_closed_peer () =
     finish ();
     raise e
 
-(* Hidden daemon mode for the socket smoke: [test_server.exe __serve
+(* Hidden daemon mode for the socket smoke: [test_server.exe __daemon
    SOCKET] serves the shared test library until SIGTERM. *)
 let () =
-  if Array.length Sys.argv = 3 && Sys.argv.(1) = "__serve" then begin
+  if Array.length Sys.argv = 3 && Sys.argv.(1) = "__daemon" then begin
     let srv = server () in
     Server.run srv ~socket:Sys.argv.(2) ();
     exit 0
@@ -447,6 +512,7 @@ let () =
             test_framing_jsonl_partial_feeds;
           Alcotest.test_case "length-prefixed framing" `Quick
             test_framing_length_prefixed;
+          QCheck_alcotest.to_alcotest prop_frame_cap;
         ] );
       ("lru", [ Alcotest.test_case "eviction order" `Quick test_lru_eviction_order ]);
       ( "dispatch",
