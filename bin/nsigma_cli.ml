@@ -473,12 +473,14 @@ let analyze_cmd =
       let config = { Ssta.op = maxop; corr = Ssta.Tracked } in
       Printf.printf "block-based SSTA pass (%s max, tracked correlation)...\n%!"
         (Stat_max.operator_name maxop);
+      let t_ssta0 = Metrics.now () in
       let provider =
         Metrics.span "cli.ssta_provider" (fun () ->
             Ssta.lvf_provider ~exec ?store_dir:(store_dir_of provider_cache)
               tech lib design)
       in
       let report = Ssta.analyze ~config tech provider design in
+      let ssta_seconds = Metrics.now () -. t_ssta0 in
       let worst = Ssta.circuit_dist report in
       let q3 = Ssta.quantile worst ~sigma:3.0 in
       let period = match period with Some ps -> ps *. 1e-12 | None -> q3 in
@@ -488,22 +490,25 @@ let analyze_cmd =
         Printf.printf
           "validating against per-path Monte-Carlo (%d samples)...\n%!" mc;
         let v = Ssta.validate ~n:mc ~config ~provider tech lib design in
-        Printf.printf
-          "MC max over %d paths: mu=%.1f ps, +3σ=%.1f ps (%.2fs)\n"
+        Printf.printf "MC max over %d paths: mu=%.1f ps, +3σ=%.1f ps\n"
           v.Ssta.va_n_paths
           (v.Ssta.va_mc.Moments.mean *. 1e12)
-          (v.Ssta.va_mc_p3 *. 1e12) v.Ssta.va_mc_seconds;
-        Printf.printf
-          "SSTA same coverage:   mu=%.1f ps, +3σ=%.1f ps (%.2fs)\n"
+          (v.Ssta.va_mc_p3 *. 1e12);
+        Printf.printf "SSTA same coverage:   mu=%.1f ps, +3σ=%.1f ps\n"
           (v.Ssta.va_ssta.Ssta.d_mean *. 1e12)
-          (Ssta.quantile v.Ssta.va_ssta ~sigma:3.0 *. 1e12)
-          v.Ssta.va_ssta_seconds;
-        Printf.printf
-          "errors: mean %.2f%%, +3σ %.2f%%, -3σ %.2f%%; speedup %.1fx\n"
+          (Ssta.quantile v.Ssta.va_ssta ~sigma:3.0 *. 1e12);
+        Printf.printf "errors: mean %.2f%%, +3σ %.2f%%, -3σ %.2f%%\n"
           (v.Ssta.va_err_mean *. 100.)
           (v.Ssta.va_err_p3 *. 100.)
-          (v.Ssta.va_err_m3 *. 100.)
-          (v.Ssta.va_mc_seconds /. Float.max 1e-9 v.Ssta.va_ssta_seconds)
+          (v.Ssta.va_err_m3 *. 100.);
+        (* Against the cold pass timed above (provider build from the
+           library, then the walk) — what a user waits for without the
+           MC — not against a re-run on the already-filled provider. *)
+        Printf.printf
+          "time: path MC %.2fs (1 domain), SSTA provider build + pass \
+           %.2fs; speedup %.1fx\n"
+          v.Ssta.va_mc_seconds ssta_seconds
+          (v.Ssta.va_mc_seconds /. Float.max 1e-9 ssta_seconds)
       end
   in
   let term =

@@ -30,7 +30,7 @@ let library_derate library =
   | [] -> 0.10
   | _ ->
     let sorted = Array.of_list ratios in
-    Array.sort Float.compare sorted;
+    Nsigma_stats.Quantile.sort sorted;
     (* 95th percentile of per-cell variability. *)
     sorted.(min (Array.length sorted - 1) (95 * Array.length sorted / 100))
 

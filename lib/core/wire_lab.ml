@@ -42,7 +42,7 @@ let measure ?(n = 300) ?(seed = 17) ?(steps = 200) ?exec tech ~tree ~driver
         in
         Array.to_list r.Rc_sim.tap_delays |> List.assoc tap)
   in
-  Array.sort Float.compare samples;
+  Quantile.sort samples;
   {
     driver;
     load;

@@ -17,7 +17,7 @@
     registry is enabled — task/fetch counts, per-worker busy and idle
     time, pool wall time and capacity (from which run reports derive
     worker utilization).  Measurement happens on worker-local state and
-    is published after the join, so it adds no contention and cannot
+    is published after the run, so it adds no contention and cannot
     perturb results; when metrics are disabled the overhead is one
     atomic load per run. *)
 
@@ -29,8 +29,16 @@ val sequential : t
     reference backend: all other backends must match its output. *)
 
 val domain_pool : ?jobs:int -> unit -> t
-(** A fixed-size pool of worker domains pulling indices from a shared
-    work queue.  [jobs] is the number of workers: omitted, it is taken
+(** A pool of [jobs] workers pulling indices from a shared work queue:
+    the calling domain plus [jobs - 1] helper domains.  Helpers are
+    started on the first run that needs them and then stay parked for
+    the life of the process, shared by every pool value (at most
+    [Domain.recommended_domain_count () - 1] ever start, counted by the
+    [exec.pool.domains_started] metric).  One run uses them at a time:
+    a call made while another pool run is in flight — from inside a
+    task, or from another systhread — runs on its calling domain in
+    index order, with the same results.  [jobs] is the number of
+    workers: omitted, it is taken
     from the [NSIGMA_JOBS] environment variable, falling back to
     [Domain.recommended_domain_count ()]; [jobs <= 0] also means
     auto-detect; [jobs = 1] degrades to {!sequential}.  Requests above
@@ -65,7 +73,8 @@ val map_array : t -> (int -> 'a) -> n:int -> 'a array
     scratch (an {!Nsigma_spice.Arc.skeleton}, preallocated RC buffers)
     that must not be shared between domains.  [init] builds that scratch:
     it is called once on the calling domain for {!sequential} and once
-    per worker domain for a pool, before any task runs.  [f scratch i]
+    per worker for a pool run (on that worker's domain), before the
+    worker runs any task.  [f scratch i]
     must derive everything sample-dependent from [i] alone (the usual RNG
     discipline) and fully overwrite whatever scratch state it reads —
     then results stay bit-identical across backends and pool sizes even

@@ -61,7 +61,7 @@ let loads_for tech cell =
      && not (Array.exists (fun l -> Float.abs (l -. reference_load) < 1e-18) base)
   then begin
     let all = Array.append base [| reference_load |] in
-    Array.sort Float.compare all;
+    Quantile.sort all;
     all
   end
   else base
@@ -133,7 +133,7 @@ let characterize ?(n_mc = 2000) ?(seed = 1) ?(slews = default_slews) ?loads
         end)
       delays_all;
     let mean_out_slew = !sum_slew /. float_of_int !n_ok in
-    Array.sort Float.compare delays;
+    Quantile.sort delays;
     let moments = Moments.summary_of_array delays in
     let quantiles = Array.map (Quantile.of_sorted delays) sigma_probs in
     { slew; load; moments; quantiles; mean_out_slew }

@@ -104,8 +104,9 @@ let buffers : buf list ref = ref []
 let next_tid = ref 0
 
 (* Allocate outside the mutex, register (and take a track id) inside —
-   same discipline as the metrics shards.  Worker domains spawned by
-   successive pools each get a fresh buffer, i.e. their own track. *)
+   same discipline as the metrics shards.  A domain keeps its buffer,
+   i.e. its track, for its whole lifetime: the executor's helper
+   domains persist across pool runs, so each shows as one track. *)
 let buf_key =
   Domain.DLS.new_key (fun () ->
       let cap = min initial_records (Atomic.get max_records) in

@@ -20,8 +20,9 @@
     (rather than overwriting the oldest) keeps retained span openers
     consistent, so a truncated trace still loads.
 
-    Each domain is one track ([tid]) in the exported trace; worker
-    domains spawned by successive pools each get a fresh track.
+    Each domain is one track ([tid]) in the exported trace for its
+    whole lifetime; the executor's helper domains persist across pool
+    runs, so each keeps one track.
     Event types are interned by name: intern once at module
     initialisation (takes a mutex), record from any domain. *)
 

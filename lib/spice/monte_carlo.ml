@@ -75,7 +75,7 @@ let delays ?exec tech g ~n f = (delays_counted ?exec tech g ~n f).delays
 
 let study ?exec tech g ~n f =
   let r = delays_counted ?exec tech g ~n f in
-  Array.sort Float.compare r.delays;
+  Quantile.sort r.delays;
   (Moments.summary_of_array r.delays, r.delays)
 
 let arc_results ?exec ?kernel tech g ~n ~arc_of ~input_slew ~load_cap =
@@ -219,7 +219,7 @@ let tc_drawn = Trace.counter_type ~cat:"sampling" "sampling.drawn"
 let trace_batch_event ~out ~target ~converged ~capped =
   if Trace.enabled () then begin
     let sorted = compact_nan (Array.sub out 0 target) in
-    Array.sort Float.compare sorted;
+    Quantile.sort sorted;
     Trace.counter tc_drawn (float_of_int target);
     Trace.instant tr_batch ~a:(float_of_int target)
       ~b:(quantile_ci_rel sorted)
@@ -249,7 +249,7 @@ let fill_adaptive ~exec ~init task ~out ~n ~rtol ~min_batch ~who =
       end
       else begin
         let sorted = compact_nan (Array.sub out 0 target) in
-        Array.sort Float.compare sorted;
+        Quantile.sort sorted;
         let converged =
           Array.length sorted >= min_batch && quantiles_converged sorted ~rtol
         in

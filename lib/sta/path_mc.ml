@@ -311,7 +311,7 @@ let run ?steps ?kernel ?(n = 1000) ?(seed = 11) ?(exec = Executor.default ())
   if failed > 0 then Metrics.incr m_non_convergent ~by:failed;
   if Array.length samples = 0 then
     failwith (no_valid_samples design path ~n:drawn);
-  Array.sort Float.compare samples;
+  Quantile.sort samples;
   let moments = Moments.summary_of_array samples in
   let quantile sigma =
     Quantile.of_sorted samples

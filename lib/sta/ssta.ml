@@ -908,7 +908,6 @@ type validation = {
   va_n_paths : int;  (** PO paths in the MC max population *)
   va_mc_n : int;  (** MC samples *)
   va_mc_seconds : float;  (** wall-clock of the per-path MC reference *)
-  va_ssta_seconds : float;  (** wall-clock of provider caches + SSTA pass *)
   va_mc : Moments.summary;  (** max-over-covered-paths population *)
   va_mc_p3 : float;  (** +3 sigma-level empirical quantile *)
   va_mc_m3 : float;  (** -3 sigma-level empirical quantile *)
@@ -927,9 +926,7 @@ type validation = {
    with its global coefficients) while each path re-simulates stage by
    stage with the fast hop model — the same cell/wire model the
    statistical provider mirrors, so the comparison isolates the
-   propagation and max approximations.  Runs single-threaded; so does
-   the SSTA pass, making the wall-clock ratio a like-for-like
-   speedup. *)
+   propagation and max approximations.  Runs single-threaded. *)
 let validate ?(n = 1000) ?(k = 16) ?(seed = 97) ?(config = default_config)
     ?provider tech (lib : Library.t) (design : Design.t) =
   let scalar = Engine.analyze tech (Provider.nominal lib) design in
@@ -953,12 +950,11 @@ let validate ?(n = 1000) ?(k = 16) ?(seed = 97) ?(config = default_config)
   in
   let mc_seconds = Metrics.now () -. t0 in
   let sorted = Array.copy samples in
-  Array.sort Float.compare sorted;
+  Quantile.sort sorted;
   let mc_p3 = Quantile.of_sorted sorted (Quantile.probability_of_sigma 3.0) in
   let mc_m3 = Quantile.of_sorted sorted (Quantile.probability_of_sigma (-3.0)) in
   let mc_p3_ci = Quantile.ci sorted (Quantile.probability_of_sigma 3.0) in
   let mc_m3_ci = Quantile.ci sorted (Quantile.probability_of_sigma (-3.0)) in
-  let t1 = Metrics.now () in
   let provider =
     match provider with Some p -> p | None -> lvf_provider tech lib design
   in
@@ -980,14 +976,12 @@ let validate ?(n = 1000) ?(k = 16) ?(seed = 97) ?(config = default_config)
     | [] -> circuit_dist report
     | d :: rest -> List.fold_left (join_dist config) d rest
   in
-  let ssta_seconds = Metrics.now () -. t1 in
   let rel a b = if b = 0.0 then 0.0 else Float.abs (a -. b) /. Float.abs b in
   let mc = Moments.summary (Moments.of_array samples) in
   {
     va_n_paths = List.length paths;
     va_mc_n = n;
     va_mc_seconds = mc_seconds;
-    va_ssta_seconds = ssta_seconds;
     va_mc = mc;
     va_mc_p3 = mc_p3;
     va_mc_m3 = mc_m3;

@@ -211,8 +211,8 @@ val pos : report -> (int * Provider.edge * dist) list
 type validation = {
   va_n_paths : int;  (** PO paths in the MC max population *)
   va_mc_n : int;  (** MC samples *)
-  va_mc_seconds : float;  (** wall-clock of the per-path MC reference *)
-  va_ssta_seconds : float;  (** wall-clock of provider caches + SSTA pass *)
+  va_mc_seconds : float;
+      (** wall-clock of the per-path MC reference (one domain) *)
   va_mc : Nsigma_stats.Moments.summary;  (** max-over-covered-paths population *)
   va_mc_p3 : float;  (** +3 sigma-level empirical quantile *)
   va_mc_m3 : float;  (** −3 sigma-level empirical quantile *)
@@ -241,6 +241,8 @@ val validate :
     POs of the nominal engine, [n] (default 1000) samples each, every
     path's sample [i] sharing the global corners (seed-derived) so the
     population reflects the physical cross-path correlation.  Both
-    sides run single-threaded with the same fast hop model; the
-    wall-clock ratio is a like-for-like speedup.
+    sides use the same fast hop model.  [provider] defaults to a fresh
+    {!lvf_provider}; passing one already filled by an earlier pass makes
+    the SSTA side a warm re-run, so a speedup is taken against the
+    caller's own cold pass, not timed here.
     @raise Invalid_argument if the design has no PO paths. *)

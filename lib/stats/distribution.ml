@@ -239,7 +239,7 @@ module Burr_xii = struct
   let fit_samples xs =
     if Array.length xs < 8 then invalid_arg "Burr_xii.fit_samples: too few samples";
     let sorted = Array.copy xs in
-    Array.sort Float.compare sorted;
+    Quantile.sort sorted;
     let probs =
       List.map
         (fun n -> Quantile.probability_of_sigma (float_of_int n))

@@ -71,7 +71,29 @@ let merge (a : t) (b : t) =
     { n; mean; m2; m3; m4 }
   end
 
-let of_array xs = Array.fold_left add empty xs
+(* [Array.fold_left add empty xs] with the accumulator in unboxed
+   locals instead of one record per sample: the same arithmetic in the
+   same order, so bitwise the same result. *)
+let of_array xs =
+  let n = Array.length xs in
+  let mean = ref 0.0 and m2 = ref 0.0 and m3 = ref 0.0 and m4 = ref 0.0 in
+  for k = 0 to n - 1 do
+    let n1 = float_of_int k in
+    let nf = float_of_int (k + 1) in
+    let delta = xs.(k) -. !mean in
+    let delta_n = delta /. nf in
+    let delta_n2 = delta_n *. delta_n in
+    let term1 = delta *. delta_n *. n1 in
+    mean := !mean +. delta_n;
+    m4 :=
+      !m4
+      +. (term1 *. delta_n2 *. ((nf *. nf) -. (3.0 *. nf) +. 3.0))
+      +. (6.0 *. delta_n2 *. !m2)
+      -. (4.0 *. delta_n *. !m3);
+    m3 := !m3 +. (term1 *. delta_n *. (nf -. 2.0)) -. (3.0 *. delta_n *. !m2);
+    m2 := !m2 +. term1
+  done;
+  { n; mean = !mean; m2 = !m2; m3 = !m3; m4 = !m4 }
 
 let count (acc : t) = acc.n
 let mean (acc : t) = acc.mean

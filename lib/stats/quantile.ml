@@ -22,17 +22,89 @@ let of_sorted xs p =
     xs.(lo) +. (frac *. (xs.(hi) -. xs.(lo)))
   end
 
+(* Stdlib [Array.sort]'s ternary heap sort, specialised to float arrays
+   with the same [Float.compare] calls in the same order, so the output
+   is bitwise identical for every input (NaN payloads, ±0, duplicates).
+   The generic sort boxes every float it reads and calls its comparison
+   through a closure; here the comparisons are inline, the element in
+   flight stays in an unboxed local, and the recursions (and the
+   [Bottom] exception that ends them) are loops. *)
+
+(* Index of the largest of node [i]'s three children in the heap
+   [a.(0 .. l-1)], or [-1] when [i] is a leaf. *)
+let maxson (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if Float.compare a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let sort (a : float array) =
+  let l = Array.length a in
+  (* Heapify: sift each inner node's value down (stdlib [trickle]). *)
+  for i0 = ((l + 1) / 3) - 1 downto 0 do
+    let e = a.(i0) in
+    let i = ref i0 and sifting = ref true in
+    while !sifting do
+      let j = maxson a l !i in
+      if j >= 0 && Float.compare a.(j) e > 0 then begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+      else begin
+        a.(!i) <- e;
+        sifting := false
+      end
+    done
+  done;
+  for k = l - 1 downto 2 do
+    let e = a.(k) in
+    a.(k) <- a.(0);
+    (* Move the hole at the root down to a leaf of [a.(0 .. k-1)]
+       ([bubble]), then sift [e] up from there ([trickleup]). *)
+    let i = ref 0 and j = ref (maxson a k 0) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson a k !i
+    done;
+    let sifting = ref true in
+    while !sifting do
+      let father = (!i - 1) / 3 in
+      if Float.compare a.(father) e < 0 then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          sifting := false
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        sifting := false
+      end
+    done
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let of_sorted_opt xs p =
   if Array.length xs = 0 then None else Some (of_sorted xs p)
 
 let of_sample xs p =
   let copy = Array.copy xs in
-  Array.sort Float.compare copy;
+  sort copy;
   of_sorted copy p
 
 let many_of_sample xs ps =
   let copy = Array.copy xs in
-  Array.sort Float.compare copy;
+  sort copy;
   List.map (fun p -> (p, of_sorted copy p)) ps
 
 (* Distribution-free order-statistic confidence interval for the

@@ -20,6 +20,12 @@ val of_sorted_opt : float array -> float -> float option
 (** Total variant: [None] on an empty sample (still raises on p outside
     [0,1] — that is a programming error, not a data condition). *)
 
+val sort : float array -> unit
+(** Sort ascending by [Float.compare] (NaNs first) in place, without
+    allocating.  Elements that compare equal (±0, NaNs with different
+    payloads) end up exactly where [Array.sort Float.compare] puts
+    them, so the result is bitwise the same. *)
+
 val of_sample : float array -> float -> float
 (** Like {!of_sorted} but sorts a copy of the input first. *)
 

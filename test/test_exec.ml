@@ -17,6 +17,7 @@ module Engine = Nsigma_sta.Engine
 module Provider = Nsigma_sta.Provider
 module Path_mc = Nsigma_sta.Path_mc
 module Executor = Nsigma_exec.Executor
+module Metrics = Nsigma_obs.Metrics
 
 let tech = T.with_vdd T.default_28nm 0.6
 let pool_sizes = [ 1; 2; 4 ]
@@ -86,6 +87,127 @@ let test_exception_stops_remaining_work () =
           ~n:100_000)
    with Failure _ -> ());
   Alcotest.(check bool) "work was cut short" true (Atomic.get ran < 100_000)
+
+let test_helper_init_failure () =
+  (* [init] raising on a helper domain (never on the caller) must
+     re-raise on the caller, and leave the helpers fit for the next run. *)
+  let pool = Executor.domain_pool ~jobs:2 () in
+  if Executor.jobs pool > 1 then begin
+    let caller = Domain.self () in
+    Alcotest.check_raises "helper init re-raises" (Failure "init boom")
+      (fun () ->
+        ignore
+          (Executor.map_scratch pool
+             ~init:(fun () ->
+               if Domain.self () <> caller then failwith "init boom")
+             (fun () i -> i)
+             ~n:200))
+  end;
+  let f i = (7 * i) + 1 in
+  Alcotest.(check bool) "next run still works" true
+    (Executor.map_array pool f ~n:500
+    = Executor.map_array Executor.sequential f ~n:500)
+
+(* ---------- Persistent pool: re-entrancy and lifetime ---------- *)
+
+let test_nested_pool_call () =
+  (* A task that itself calls the pool runs its inner map on its own
+     domain while the outer run holds the helpers: no deadlock, same
+     values. *)
+  let inner exec i =
+    Array.fold_left ( + ) 0 (Executor.map_array exec (fun j -> i * j) ~n:50)
+  in
+  let outer exec = Executor.map_array exec (inner exec) ~n:100 in
+  List.iter
+    (fun (j, pool) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "nested pool %d = sequential" j)
+        true
+        (outer pool = outer Executor.sequential))
+    pools
+
+let test_two_threads_share_pool () =
+  (* Two systhreads of one domain drive the same pool at once: whichever
+     finds it busy runs in index order itself, and both finish with the
+     sequential values. *)
+  let pool = Executor.domain_pool ~jobs:2 () in
+  let f k i = Int.logxor (i * 2654435761) k in
+  let expected k = Executor.map_array Executor.sequential (f k) ~n:300 in
+  let agree = Array.make 2 false in
+  let run k () =
+    let ok = ref true in
+    for _ = 1 to 50 do
+      if Executor.map_array pool (f k) ~n:300 <> expected k then ok := false
+    done;
+    agree.(k) <- !ok
+  in
+  let threads = List.init 2 (fun k -> Thread.create (run k) ()) in
+  List.iter Thread.join threads;
+  Alcotest.(check bool) "thread 0 = sequential" true agree.(0);
+  Alcotest.(check bool) "thread 1 = sequential" true agree.(1)
+
+(* 1,000 pool runs in this process, with metrics on: the pool's jobs,
+   the helper domains started meanwhile and the runs counted. *)
+let count_pool_domains () =
+  let pool = Executor.domain_pool ~jobs:2 () in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  for _ = 1 to 1000 do
+    ignore (Executor.map_array pool (fun i -> i) ~n:8 : int array)
+  done;
+  let started = Metrics.find_counter "exec.pool.domains_started" in
+  let runs = Metrics.find_counter "exec.pool.runs" in
+  Metrics.set_enabled was;
+  (Executor.jobs pool, started, runs)
+
+let test_domains_started_bounded () =
+  let jobs, started, runs = count_pool_domains () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains started for 1000 runs at jobs %d" started jobs)
+    true
+    (started <= jobs - 1);
+  Alcotest.(check int) "every run went to the pool"
+    (if jobs > 1 then 1000 else 0)
+    runs
+
+let test_child_with_pool_exits () =
+  (* Parked helpers must not hold the process open: re-exec this binary
+     in its [__pool_child] mode, which runs the pool and exits, and
+     expect it gone within seconds, having started exactly
+     [jobs - 1] domains in a fresh process. *)
+  let r, w = Unix.pipe ~cloexec:true () in
+  flush stdout;
+  flush stderr;
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "__pool_child" |]
+      Unix.stdin w Unix.stderr
+  in
+  Unix.close w;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.02;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      None
+    | _, status -> Some status
+  in
+  let status = wait () in
+  let ic = Unix.in_channel_of_descr r in
+  let line = try input_line ic with End_of_file -> "" in
+  close_in ic;
+  Alcotest.(check bool) "child exited 0 within 10 s" true
+    (status = Some (Unix.WEXITED 0));
+  let jobs = Executor.jobs (Executor.domain_pool ~jobs:2 ()) in
+  Alcotest.(check string) "child started jobs - 1 domains"
+    (Printf.sprintf "jobs %d started %d runs %d" jobs (jobs - 1)
+       (if jobs > 1 then 1000 else 0))
+    line
 
 (* ---------- Rng.derive discipline ---------- *)
 
@@ -188,6 +310,16 @@ let test_path_mc_bit_identical () =
         (r.Path_mc.moments = reference.Path_mc.moments))
     pools
 
+(* Hidden mode for the exit test: [test_exec.exe __pool_child] runs the
+   pool, reports what it started, and exits with its helpers still
+   parked. *)
+let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = "__pool_child" then begin
+    let jobs, started, runs = count_pool_domains () in
+    Printf.printf "jobs %d started %d runs %d\n" jobs started runs;
+    exit 0
+  end
+
 let () =
   Alcotest.run "nsigma_exec"
     [
@@ -204,6 +336,18 @@ let () =
             test_worker_exception_propagates;
           Alcotest.test_case "failure stops remaining work" `Quick
             test_exception_stops_remaining_work;
+          Alcotest.test_case "helper init failure" `Quick
+            test_helper_init_failure;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "task calls the pool" `Quick test_nested_pool_call;
+          Alcotest.test_case "two threads share a pool" `Quick
+            test_two_threads_share_pool;
+          Alcotest.test_case "domains started once" `Quick
+            test_domains_started_bounded;
+          Alcotest.test_case "child with pool exits" `Quick
+            test_child_with_pool_exits;
         ] );
       ( "rng",
         [

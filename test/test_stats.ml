@@ -332,6 +332,63 @@ let prop_quantile_monotone =
       let q p = Quantile.of_sample a p in
       q 0.1 <= q 0.3 && q 0.3 <= q 0.5 && q 0.5 <= q 0.9)
 
+(* Samples that stress tie-breaking: both zeros and many duplicates,
+   plus (with [non_finite]) infinities and NaNs with distinct payloads. *)
+let awkward_floats ~non_finite =
+  let special =
+    [ 0.0; -0.0; 1.0; -1.0 ]
+    @
+    if non_finite then
+      [ Float.nan; Int64.float_of_bits 0x7FF0_0000_0000_0123L;
+        Int64.float_of_bits 0xFFF8_0000_0000_0042L; infinity; neg_infinity ]
+    else []
+  in
+  let elem =
+    QCheck.Gen.(
+      frequency
+        [ (3, oneofl special); (3, map float_of_int (int_range (-3) 3));
+          (4, float_range (-1e3) 1e3) ])
+  in
+  QCheck.make
+    ~print:QCheck.Print.(array float)
+    QCheck.Gen.(array_size (int_range 0 300) elem)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+let prop_sort_matches_stdlib =
+  QCheck.Test.make ~count:500 ~name:"Quantile.sort = Array.sort Float.compare (bitwise)"
+    (awkward_floats ~non_finite:true)
+    (fun a ->
+      let ours = Array.copy a and theirs = Array.copy a in
+      Quantile.sort ours;
+      Array.sort Float.compare theirs;
+      bits_equal ours theirs)
+
+(* Finite samples only: once a NaN is in play, which operand's payload
+   an addition propagates depends on the operand order the compiler
+   picks, so NaN results may differ in payload bits. *)
+let prop_of_array_matches_fold =
+  QCheck.Test.make ~count:500 ~name:"Moments.of_array = fold of add (bitwise)"
+    (awkward_floats ~non_finite:false)
+    (fun a ->
+      let bytes m = Marshal.to_string (m : Moments.t) [ Marshal.No_sharing ] in
+      bytes (Moments.of_array a)
+      = bytes (Array.fold_left Moments.add Moments.empty a))
+
+let test_sort_and_moments_allocation () =
+  (* The per-point statistics of characterisation: neither the sort nor
+     the moment fold may allocate per element. *)
+  let a = Array.init 10_000 (fun i -> float_of_int ((i * 7919) mod 10_007)) in
+  let w0 = Gc.minor_words () in
+  Quantile.sort a;
+  let w1 = Gc.minor_words () in
+  ignore (Moments.of_array a : Moments.t);
+  let w2 = Gc.minor_words () in
+  Alcotest.(check bool) "sort allocates nothing per element" true (w1 -. w0 < 16.0);
+  Alcotest.(check bool) "of_array allocates only its result" true (w2 -. w1 < 32.0)
+
 (* ---------- Linalg ---------- *)
 
 let test_solve_identity () =
@@ -879,6 +936,10 @@ let () =
           Alcotest.test_case "interpolation" `Quick test_quantile_interpolation;
           Alcotest.test_case "sigma probabilities" `Quick test_sigma_probabilities;
           qt prop_quantile_monotone;
+          qt prop_sort_matches_stdlib;
+          qt prop_of_array_matches_fold;
+          Alcotest.test_case "sort and moments allocation" `Quick
+            test_sort_and_moments_allocation;
         ] );
       ( "linalg",
         [
