@@ -489,7 +489,7 @@ let analyze_cmd =
       if mc > 0 then begin
         Printf.printf
           "validating against per-path Monte-Carlo (%d samples)...\n%!" mc;
-        let v = Ssta.validate ~n:mc ~config ~provider tech lib design in
+        let v = Ssta.validate ~n:mc ~config ~exec ~provider tech lib design in
         Printf.printf "MC max over %d paths: mu=%.1f ps, +3σ=%.1f ps\n"
           v.Ssta.va_n_paths
           (v.Ssta.va_mc.Moments.mean *. 1e12)
@@ -505,9 +505,9 @@ let analyze_cmd =
            library, then the walk) — what a user waits for without the
            MC — not against a re-run on the already-filled provider. *)
         Printf.printf
-          "time: path MC %.2fs (1 domain), SSTA provider build + pass \
+          "time: path MC %.2fs (jobs %d), SSTA provider build + pass \
            %.2fs; speedup %.1fx\n"
-          v.Ssta.va_mc_seconds ssta_seconds
+          v.Ssta.va_mc_seconds (Executor.jobs exec) ssta_seconds
           (v.Ssta.va_mc_seconds /. Float.max 1e-9 ssta_seconds)
       end
   in

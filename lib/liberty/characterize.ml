@@ -236,6 +236,12 @@ let moments_at table ~slew ~load : Moments.summary =
     kurtosis = eval (fun p -> p.moments.Moments.kurtosis);
   }
 
+(* The mean alone: [moments_at]'s first blend on the same stencil, so
+   bitwise its [.mean] for a quarter of the work — what slope and
+   curvature probes that read only the mean need. *)
+let mean_at table ~slew ~load =
+  blend table (stencil table ~slew ~load) (fun p -> p.moments.Moments.mean)
+
 let out_slew_at table ~slew ~load =
   blend table (stencil table ~slew ~load) (fun p -> p.mean_out_slew)
 

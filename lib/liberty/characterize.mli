@@ -107,6 +107,10 @@ val moments_at : table -> slew:float -> load:float -> Nsigma_stats.Moments.summa
     bit-identical to [Grid2d.eval] on a [Grid2d] of that field, without
     building one. *)
 
+val mean_at : table -> slew:float -> load:float -> float
+(** The mean delay alone: bitwise [(moments_at table ~slew ~load).mean],
+    one blend instead of four. *)
+
 val out_slew_at : table -> slew:float -> load:float -> float
 (** Bilinear interpolation of the mean output slew (for slew
     propagation in STA), same arithmetic as {!moments_at}. *)

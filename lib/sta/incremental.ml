@@ -9,7 +9,7 @@
 
    Early cutoff is bitwise: a gate whose recomputed output slots (dist
    and slew, compared as float bits) AND provider slew-sensitivity
-   signature equal the retained ones cannot change anything downstream
+   state equal the retained ones cannot change anything downstream
    — every downstream quantity is a deterministic function of exactly
    those values — so its fanout is not enqueued.  A buffer-chain edit
    therefore touches O(depth-to-reconvergence) gates, not O(gates), and
@@ -113,13 +113,16 @@ type stats = {
 
 (* --- bitwise equality on retained state ----------------------------- *)
 
-let feq a b = Int64.bits_of_float a = Int64.bits_of_float b
+let[@inline] feq (a : float) (b : float) =
+  Int64.bits_of_float a = Int64.bits_of_float b
 
-let arr_eq a b =
+let arr_eq (a : float array) (b : float array) =
   Array.length a = Array.length b
   &&
   let ok = ref true in
-  Array.iteri (fun i x -> if not (feq x b.(i)) then ok := false) a;
+  for i = 0 to Array.length a - 1 do
+    if not (feq a.(i) b.(i)) then ok := false
+  done;
   !ok
 
 let dist_eq (a : Ssta.dist) (b : Ssta.dist) =
@@ -203,12 +206,12 @@ let apply t edit =
     in
     let before0 = t.slots.(out_net).(0) in
     let before1 = t.slots.(out_net).(1) in
-    let sig_before = t.handle.Ssta.h_slew_sig out_net in
+    t.handle.Ssta.h_slew_mark out_net;
     Engine_core.eval_gate t.ctx t.slots gi;
     let changed =
       (not (slot_eq before0 t.slots.(out_net).(0)))
       || (not (slot_eq before1 t.slots.(out_net).(1)))
-      || t.handle.Ssta.h_slew_sig out_net <> sig_before
+      || t.handle.Ssta.h_slew_changed out_net
     in
     if changed then
       List.iter (fun (g, _) -> push g) design.Design.fanouts.(out_net)

@@ -11,7 +11,7 @@
 
     {b Cutoff rule (bitwise).}  A re-evaluated gate whose output slots
     (arrival distribution and slew, compared as float bits) {e and}
-    provider slew-sensitivity signature ({!Ssta.handle.h_slew_sig})
+    provider slew-sensitivity state ({!Ssta.handle.h_slew_changed})
     equal the retained values cannot change anything downstream — every
     downstream quantity is a deterministic function of exactly those
     values — so its fanout is not enqueued.  A buffer-chain edit

@@ -3,7 +3,6 @@ module Cell = Nsigma_liberty.Cell
 module Library = Nsigma_liberty.Library
 module Characterize = Nsigma_liberty.Characterize
 module Elmore = Nsigma_rcnet.Elmore
-module Moments = Nsigma_stats.Moments
 
 type edge = Rise | Fall
 
@@ -42,8 +41,7 @@ let nominal library =
     label = "nominal-mean";
     cell_delay =
       (fun gate ~edge ~input_slew ~load_cap ->
-        let table = find gate edge in
-        (Characterize.moments_at table ~slew:input_slew ~load:load_cap).Moments.mean);
+        Characterize.mean_at (find gate edge) ~slew:input_slew ~load:load_cap);
     cell_out_slew =
       (fun gate ~edge ~input_slew ~load_cap ->
         Characterize.out_slew_at (find gate edge) ~slew:input_slew ~load:load_cap);

@@ -48,6 +48,11 @@ let m_max_moment = Metrics.counter "sta.ssta.max.moment"
 let m_wire_mc = Metrics.counter "sta.ssta.wire_mc_samples"
 let m_frac_mc = Metrics.counter "sta.ssta.cell_frac_samples"
 
+(* The provider's per-arc cell memo ([cell_memo] below) is armed by the
+   first invalidation, so a cold pass leaves both at zero. *)
+let m_memo_hits = Metrics.counter "sta.ssta.cell_memo.hits"
+let m_memo_misses = Metrics.counter "sta.ssta.cell_memo.misses"
+
 (* Per-reconvergence accuracy signals (arXiv:2401.03588 ablates the max
    operator exactly here).  [tightness] is Clark's P(first input wins) —
    dimensionless in [0,1], recorded through the seconds-bucketed
@@ -344,6 +349,165 @@ type slew_sens = {
   ss_root : float;  (* the mean slew these sensitivities describe (s) *)
 }
 
+(* The absent entry (PI-driven nets, nets the walk has not reached or an
+   edit just cleared), told apart from real entries by identity. *)
+let no_sens = { ss_a = [||]; ss_b = [||]; ss_l = 0.0; ss_root = 0.0 }
+
+let[@inline] same_bits (a : float) (b : float) =
+  Int64.bits_of_float a = Int64.bits_of_float b
+
+(* Presence-tagged bitwise equality of two slew-sensitivity entries. *)
+let same_sens a b =
+  a == b
+  || a != no_sens && b != no_sens
+     && same_bits a.ss_l b.ss_l
+     && same_bits a.ss_root b.ss_root
+     &&
+     let ok = ref true in
+     for i = 0 to ng - 1 do
+       if not (same_bits a.ss_a.(i) b.ss_a.(i) && same_bits a.ss_b.(i) b.ss_b.(i))
+       then ok := false
+     done;
+     !ok
+
+(* ---------------------------------------------------------------- *)
+(* The per-arc cell memo.                                           *)
+(* ---------------------------------------------------------------- *)
+
+(* An arc's delay and output slew are pure functions of the cell, the
+   edges, the input net, the input slew, the load and the upstream
+   slew-sensitivity entry the arc reads (the LVF table and regression
+   are fixed per cell).  After an edit most arcs of the re-timed cone
+   see all of these unchanged — arrivals move, arc inputs rarely do —
+   so each arc candidate (gate, input pin, input edge, output edge) has
+   a slot holding the inputs and results of its last evaluation, and a
+   call whose inputs are bitwise those returns the stored result: exact
+   by construction.  Two pins on one net share a slot, which costs
+   misses, never a wrong hit.
+
+   The delay and the output slew share one key.  Engine_core asks for
+   the winning candidate's output slew right after its delay, with the
+   same inputs, so the slew is stored against the key the delay call
+   left; a delay miss rewrites the key and drops the stored slew.
+   Slews, loads and delays are stored unboxed, so a miss overwrites its
+   slot in place. *)
+type cell_memo = {
+  cm_base : int array;  (* gate -> its first slot *)
+  cm_both_edges : bool array;
+      (* gate -> both input edges cause each output edge (XOR/XNOR),
+         so the slot also names the input edge *)
+  cm_cell : Cell.t array;  (* compared by identity; a swap installs another *)
+  cm_up : slew_sens array;  (* upstream entry, compared by [same_sens] *)
+  cm_key : Float.Array.t;  (* per slot: input slew, load *)
+  cm_delay : Float.Array.t;  (* per slot: the delay, [delay_w] floats *)
+  cm_slew : Float.Array.t;  (* per slot: the output slew *)
+  cm_sens : slew_sens array;
+      (* per slot: the output entry the slew call stored, [no_sens]
+         while the slot holds no slew for its key *)
+}
+
+(* A cell delay unboxed: d_mean, d_a, d_b, d_var_l, d_m3_l, d_m4_l (a
+   cell arc's d_slew_tc is always 0). *)
+let delay_w = 4 + (2 * ng)
+
+let delay_to_memo v slot (d : delay) =
+  let o = slot * delay_w and dd = d.dd in
+  Float.Array.set v o dd.d_mean;
+  for i = 0 to ng - 1 do
+    Float.Array.set v (o + 1 + i) dd.d_a.(i);
+    Float.Array.set v (o + 1 + ng + i) dd.d_b.(i)
+  done;
+  Float.Array.set v (o + 1 + (2 * ng)) dd.d_var_l;
+  Float.Array.set v (o + 2 + (2 * ng)) dd.d_m3_l;
+  Float.Array.set v (o + 3 + (2 * ng)) dd.d_m4_l
+
+let delay_of_memo v slot =
+  let o = slot * delay_w in
+  {
+    dd =
+      {
+        d_mean = Float.Array.get v o;
+        d_a = Array.init ng (fun i -> Float.Array.get v (o + 1 + i));
+        d_b = Array.init ng (fun i -> Float.Array.get v (o + 1 + ng + i));
+        d_var_l = Float.Array.get v (o + 1 + (2 * ng));
+        d_m3_l = Float.Array.get v (o + 2 + (2 * ng));
+        d_m4_l = Float.Array.get v (o + 3 + (2 * ng));
+      };
+    d_slew_tc = 0.0;
+  }
+
+(* Slots for every real candidate: Σ pins × input edges of the kind × 2
+   output edges.  A swap keeps the kind, so the layout outlives edits. *)
+let cell_memo_create (gates : Netlist.gate array) =
+  let n_gates = Array.length gates in
+  let base = Array.make n_gates 0 and both = Array.make n_gates false in
+  let n = ref 0 in
+  Array.iteri
+    (fun gi (g : Netlist.gate) ->
+      let k =
+        List.length (Engine_core.in_edges_for g.Netlist.cell.Cell.kind Provider.Rise)
+      in
+      base.(gi) <- !n;
+      both.(gi) <- k = 2;
+      n := !n + (Array.length g.Netlist.inputs * k * 2))
+    gates;
+  let n = !n in
+  {
+    cm_base = base;
+    cm_both_edges = both;
+    cm_cell = Array.make n (Cell.make Cell.Inv ~strength:1);
+    cm_up = Array.make n no_sens;
+    cm_key = Float.Array.make (2 * n) Float.nan;
+    cm_delay = Float.Array.make (n * delay_w) 0.0;
+    cm_slew = Float.Array.make n 0.0;
+    cm_sens = Array.make n no_sens;
+  }
+
+(* The candidate's slot, or -1 (not memoised) when the gate is not
+   [design]'s or [in_net] is none of its inputs.  Beyond the output
+   edge the slot encodes, the input net and edge reach an arc only
+   through the upstream entry, which the key holds. *)
+let memo_slot cm (design : Design.t) (gate : Netlist.gate) ~edge ~in_net
+    ~in_edge =
+  let out = gate.Netlist.output and drivers = design.Design.drivers in
+  let gi = if out >= 0 && out < Array.length drivers then drivers.(out) else -1 in
+  if gi < 0 || design.Design.netlist.Netlist.gates.(gi) != gate then -1
+  else begin
+    let inputs = gate.Netlist.inputs in
+    let pin = ref (-1) in
+    for p = Array.length inputs - 1 downto 0 do
+      if inputs.(p) = in_net then pin := p
+    done;
+    let e = Engine_core.edge_index edge in
+    if !pin < 0 then -1
+    else if cm.cm_both_edges.(gi) then
+      cm.cm_base.(gi) + (4 * !pin) + (2 * e) + Engine_core.edge_index in_edge
+    else cm.cm_base.(gi) + (2 * !pin) + e
+  end
+
+(* Whether the slot's key is this call's inputs.  An upstream entry
+   with the same bits but another identity is re-pointed, so later
+   checks succeed on identity and the old record can be collected. *)
+let memo_key_hit cm slot cell up ~input_slew ~load_cap =
+  cm.cm_cell.(slot) == cell
+  && same_bits (Float.Array.get cm.cm_key (2 * slot)) input_slew
+  && same_bits (Float.Array.get cm.cm_key ((2 * slot) + 1)) load_cap
+  &&
+  let old = cm.cm_up.(slot) in
+  old == up
+  || same_sens old up
+     && begin
+       cm.cm_up.(slot) <- up;
+       true
+     end
+
+let memo_key_store cm slot cell up ~input_slew ~load_cap =
+  cm.cm_cell.(slot) <- cell;
+  cm.cm_up.(slot) <- up;
+  Float.Array.set cm.cm_key (2 * slot) input_slew;
+  Float.Array.set cm.cm_key ((2 * slot) + 1) load_cap;
+  cm.cm_sens.(slot) <- no_sens
+
 (* Exact round-trip serialisation of an arc regression for the on-disk
    store: hex float literals ("%h") survive printf/float_of_string
    bit-for-bit, so a warm load reproduces the cold computation
@@ -390,7 +554,8 @@ type wire_net = {
 type handle = {
   h_provider : provider;
   h_invalidate_net : int -> unit;
-  h_slew_sig : int -> int64 array;
+  h_slew_mark : int -> unit;
+  h_slew_changed : int -> bool;
   h_prewarm : unit -> unit;
 }
 
@@ -398,7 +563,8 @@ let handle_of_provider p =
   {
     h_provider = p;
     h_invalidate_net = (fun _ -> ());
-    h_slew_sig = (fun _ -> [||]);
+    h_slew_mark = (fun _ -> ());
+    h_slew_changed = (fun _ -> false);
     h_prewarm = (fun () -> ());
   }
 
@@ -663,19 +829,21 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
       Hashtbl.add wire_cache net w;
       w
   in
-  (* Slew sensitivities per (net, edge), filled as the topological walk
-     reaches each driver — downstream lookups always find their inputs
-     already computed (or absent, for PI-driven nets: zero
-     sensitivity). *)
-  let slew_tab : (int * int, slew_sens) Hashtbl.t = Hashtbl.create 64 in
+  (* Slew sensitivities per (net, edge) at [2·net + edge], filled as the
+     topological walk reaches each driver — downstream lookups always
+     find their inputs already computed (or [no_sens], for PI-driven
+     nets: zero sensitivity). *)
+  let slew_tab =
+    Array.make (2 * design.Design.netlist.Netlist.n_nets) no_sens
+  in
+  let sens_index net edge = (2 * net) + Engine_core.edge_index edge in
   (* Incoming slew distribution of a candidate, attenuated through the
      wire degrade: pin = RSS(root, wire), so d(pin)/d(root) = root/pin.
      Returns attenuated sensitivity arrays, local sigma and the total
      slew variance at the pin. *)
-  let incoming ~in_net ~in_edge ~input_slew =
-    match Hashtbl.find_opt slew_tab (in_net, Engine_core.edge_index in_edge) with
-    | None -> None
-    | Some ss ->
+  let incoming ss ~input_slew =
+    if ss == no_sens then None
+    else begin
       let atten =
         if input_slew > 0.0 then Float.min 1.0 (ss.ss_root /. input_slew)
         else 1.0
@@ -688,6 +856,7 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
         var_s := !var_s +. (sa.(i) *. sa.(i)) +. (2.0 *. sb.(i) *. sb.(i))
       done;
       Some (sa, sb, sl, !var_s)
+    end
   in
   (* First derivative w.r.t. input slew: central finite difference on
      the (bilinear) table.  Second derivative: the bilinear surface is
@@ -734,81 +903,138 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
       Hashtbl.add arc_tab key r;
       r
   in
+  (* Uncached evaluations.  [up] is the slew-sensitivity entry of the
+     arc's input net and edge; together with the cell, the edges, the
+     input slew and the load it is everything these read. *)
+  let cell_delay (gate : Netlist.gate) ~edge ~up ~input_slew ~load_cap =
+    let tbl, resp = resolve gate.Netlist.cell edge in
+    let s = Characterize.moments_at tbl ~slew:input_slew ~load:load_cap in
+    let base = dist_of_table resp s in
+    let dd =
+      match incoming up ~input_slew with
+      | None -> base
+      | Some (sa, sb, sl, var_s) ->
+        let mean_at ~slew = Characterize.mean_at tbl ~slew ~load:load_cap in
+        let d1 = dq_ds mean_at ~slew:input_slew in
+        let d2 = curvature mean_at tbl ~slew:input_slew in
+        (* Stage coupling.  First order: this arc's delay moves with
+           its input slew, which responds to the shared corners
+           (compounding correlated variance) and to upstream
+           mismatch (adding local variance).  Second order: delay
+           is convex in slew, so the corner response picks up a
+           quadratic term — the source of the correlated skew a
+           fixed-slew table lookup cannot contain — and the mean
+           shifts by ½·D″·Var(slew) (Jensen).  The table,
+           characterized at fixed slew, contains none of this. *)
+        let dv = d1 *. d1 *. sl *. sl in
+        {
+          base with
+          d_mean = base.d_mean +. (0.5 *. d2 *. var_s);
+          d_a = Array.init ng (fun i -> base.d_a.(i) +. (d1 *. sa.(i)));
+          d_b =
+            Array.init ng (fun i ->
+                base.d_b.(i) +. (d1 *. sb.(i))
+                +. (0.5 *. d2 *. sa.(i) *. sa.(i)));
+          d_var_l = base.d_var_l +. dv;
+          d_m4_l =
+            base.d_m4_l +. (3.0 *. dv *. dv) +. (6.0 *. base.d_var_l *. dv);
+        }
+    in
+    { dd; d_slew_tc = 0.0 }
+  in
+  (* Returns the output slew and stores the output's sensitivity entry
+     at [out_ix]. *)
+  let cell_out_slew (gate : Netlist.gate) ~edge ~up ~input_slew ~load_cap
+      ~out_ix =
+    let tbl, resp = resolve gate.Netlist.cell edge in
+    let slew_at ~slew = Characterize.out_slew_at tbl ~slew ~load:load_cap in
+    let out = slew_at ~slew:input_slew in
+    (* Direct slew response measured at the reference point, rescaled
+       proportionally to the operating-point slew. *)
+    let scale =
+      if resp.ar_slew_mean > 0.0 then out /. resp.ar_slew_mean else 1.0
+    in
+    let ca, cb, cl, jensen =
+      match incoming up ~input_slew with
+      | None -> (Array.make ng 0.0, Array.make ng 0.0, 0.0, 0.0)
+      | Some (sa, sb, sl, var_s) ->
+        let s1 = dq_ds slew_at ~slew:input_slew in
+        let s2 = curvature slew_at tbl ~slew:input_slew in
+        ( Array.init ng (fun i -> s1 *. sa.(i)),
+          Array.init ng (fun i ->
+              (s1 *. sb.(i)) +. (0.5 *. s2 *. sa.(i) *. sa.(i))),
+          s1 *. sl,
+          0.5 *. s2 *. var_s )
+    in
+    let direct_l = scale *. resp.ar_sl in
+    let out = out +. jensen in
+    slew_tab.(out_ix) <-
+      {
+        ss_a = Array.init ng (fun i -> (scale *. resp.ar_sa.(i)) +. ca.(i));
+        ss_b = Array.init ng (fun i -> (scale *. resp.ar_sb.(i)) +. cb.(i));
+        ss_l = sqrt ((direct_l *. direct_l) +. (cl *. cl));
+        ss_root = out;
+      };
+    out
+  in
+  (* The per-arc memo, made by the first invalidation: a cold pass
+     evaluates each arc once, so a memo there would only cost memory. *)
+  let memo = ref None in
   let provider =
   {
     Engine_core.m_label = "ssta-lvf";
     m_cell_delay =
       (fun gate ~edge ~in_net ~in_edge ~input_slew ~load_cap ->
-        let tbl, resp = resolve gate.Netlist.cell edge in
-        let s = Characterize.moments_at tbl ~slew:input_slew ~load:load_cap in
-        let base = dist_of_table resp s in
-        let dd =
-          match incoming ~in_net ~in_edge ~input_slew with
-          | None -> base
-          | Some (sa, sb, sl, var_s) ->
-            let mean_at ~slew =
-              (Characterize.moments_at tbl ~slew ~load:load_cap).Moments.mean
-            in
-            let d1 = dq_ds mean_at ~slew:input_slew in
-            let d2 = curvature mean_at tbl ~slew:input_slew in
-            (* Stage coupling.  First order: this arc's delay moves with
-               its input slew, which responds to the shared corners
-               (compounding correlated variance) and to upstream
-               mismatch (adding local variance).  Second order: delay
-               is convex in slew, so the corner response picks up a
-               quadratic term — the source of the correlated skew a
-               fixed-slew table lookup cannot contain — and the mean
-               shifts by ½·D″·Var(slew) (Jensen).  The table,
-               characterized at fixed slew, contains none of this. *)
-            let dv = d1 *. d1 *. sl *. sl in
-            {
-              base with
-              d_mean = base.d_mean +. (0.5 *. d2 *. var_s);
-              d_a = Array.init ng (fun i -> base.d_a.(i) +. (d1 *. sa.(i)));
-              d_b =
-                Array.init ng (fun i ->
-                    base.d_b.(i) +. (d1 *. sb.(i))
-                    +. (0.5 *. d2 *. sa.(i) *. sa.(i)));
-              d_var_l = base.d_var_l +. dv;
-              d_m4_l =
-                base.d_m4_l +. (3.0 *. dv *. dv)
-                +. (6.0 *. base.d_var_l *. dv);
-            }
-        in
-        { dd; d_slew_tc = 0.0 });
+        let up = slew_tab.(sens_index in_net in_edge) in
+        match !memo with
+        | None -> cell_delay gate ~edge ~up ~input_slew ~load_cap
+        | Some cm ->
+          let slot = memo_slot cm design gate ~edge ~in_net ~in_edge in
+          let cell = gate.Netlist.cell in
+          if slot >= 0 && memo_key_hit cm slot cell up ~input_slew ~load_cap
+          then begin
+            Metrics.incr m_memo_hits;
+            delay_of_memo cm.cm_delay slot
+          end
+          else begin
+            Metrics.incr m_memo_misses;
+            let d = cell_delay gate ~edge ~up ~input_slew ~load_cap in
+            if slot >= 0 then begin
+              memo_key_store cm slot cell up ~input_slew ~load_cap;
+              delay_to_memo cm.cm_delay slot d
+            end;
+            d
+          end);
     m_cell_out_slew =
       (fun gate ~edge ~in_net ~in_edge ~input_slew ~load_cap ->
-        let tbl, resp = resolve gate.Netlist.cell edge in
-        let slew_at ~slew = Characterize.out_slew_at tbl ~slew ~load:load_cap in
-        let out = slew_at ~slew:input_slew in
-        (* Direct slew response measured at the reference point, rescaled
-           proportionally to the operating-point slew. *)
-        let scale =
-          if resp.ar_slew_mean > 0.0 then out /. resp.ar_slew_mean else 1.0
-        in
-        let ca, cb, cl, jensen =
-          match incoming ~in_net ~in_edge ~input_slew with
-          | None -> (Array.make ng 0.0, Array.make ng 0.0, 0.0, 0.0)
-          | Some (sa, sb, sl, var_s) ->
-            let s1 = dq_ds slew_at ~slew:input_slew in
-            let s2 = curvature slew_at tbl ~slew:input_slew in
-            ( Array.init ng (fun i -> s1 *. sa.(i)),
-              Array.init ng (fun i ->
-                  (s1 *. sb.(i)) +. (0.5 *. s2 *. sa.(i) *. sa.(i))),
-              s1 *. sl,
-              0.5 *. s2 *. var_s )
-        in
-        let direct_l = scale *. resp.ar_sl in
-        let out = out +. jensen in
-        Hashtbl.replace slew_tab
-          (gate.Netlist.output, Engine_core.edge_index edge)
-          {
-            ss_a = Array.init ng (fun i -> (scale *. resp.ar_sa.(i)) +. ca.(i));
-            ss_b = Array.init ng (fun i -> (scale *. resp.ar_sb.(i)) +. cb.(i));
-            ss_l = sqrt ((direct_l *. direct_l) +. (cl *. cl));
-            ss_root = out;
-          };
-        out);
+        let up = slew_tab.(sens_index in_net in_edge) in
+        let out_ix = sens_index gate.Netlist.output edge in
+        match !memo with
+        | None -> cell_out_slew gate ~edge ~up ~input_slew ~load_cap ~out_ix
+        | Some cm ->
+          let slot = memo_slot cm design gate ~edge ~in_net ~in_edge in
+          let keyed =
+            slot >= 0
+            && memo_key_hit cm slot gate.Netlist.cell up ~input_slew ~load_cap
+          in
+          if keyed && cm.cm_sens.(slot) != no_sens then begin
+            (* The stored entry goes back as the same record, so the
+               downstream arcs' keys keep matching by identity. *)
+            Metrics.incr m_memo_hits;
+            slew_tab.(out_ix) <- cm.cm_sens.(slot);
+            Float.Array.get cm.cm_slew slot
+          end
+          else begin
+            Metrics.incr m_memo_misses;
+            let out =
+              cell_out_slew gate ~edge ~up ~input_slew ~load_cap ~out_ix
+            in
+            if keyed then begin
+              Float.Array.set cm.cm_slew slot out;
+              cm.cm_sens.(slot) <- slew_tab.(out_ix)
+            end;
+            out
+          end);
     m_wire_delay =
       (fun ~net ~driver:_ ~sink:_ ~tree:_ ~tap ->
         let w = wire_dists net in
@@ -827,29 +1053,30 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
      caps) and forget their slew sensitivities; both rebuild
      deterministically from per-net derived streams, so recomputing an
      unedited net would reproduce its old entry bit for bit — which is
-     what makes clearing only the invalidated nets sound. *)
+     what makes clearing only the invalidated nets sound.  The cell
+     memo needs no clearing: its keys hold everything a cell arc
+     reads. *)
   let invalidate_net net =
+    if Option.is_none !memo then
+      memo := Some (cell_memo_create design.Design.netlist.Netlist.gates);
     Hashtbl.remove wire_cache net;
-    Hashtbl.remove slew_tab (net, 0);
-    Hashtbl.remove slew_tab (net, 1)
+    slew_tab.(2 * net) <- no_sens;
+    slew_tab.((2 * net) + 1) <- no_sens
   in
-  (* Bitwise signature of a net's slew-sensitivity state (both edges,
-     presence-tagged): the part of the provider's retained state that
-     feeds downstream delays but is invisible in the arrival slot, so
-     the incremental engine must include it in its cutoff equality. *)
-  let slew_sig net =
-    let buf = ref [] in
-    for e = 1 downto 0 do
-      match Hashtbl.find_opt slew_tab (net, e) with
-      | None -> buf := 0L :: !buf
-      | Some ss ->
-        let fs =
-          Array.to_list ss.ss_a @ Array.to_list ss.ss_b
-          @ [ ss.ss_l; ss.ss_root ]
-        in
-        buf := (1L :: List.map Int64.bits_of_float fs) @ !buf
-    done;
-    Array.of_list !buf
+  (* A net's slew-sensitivity state (both edges) is the part of the
+     provider's retained state that feeds downstream delays but is
+     invisible in the arrival slot, so the incremental engine's cutoff
+     compares it too: the entries are marked before a gate is
+     re-evaluated and compared, presence-tagged and bitwise, after. *)
+  let marked = [| no_sens; no_sens |] in
+  let slew_mark net =
+    marked.(0) <- slew_tab.(2 * net);
+    marked.(1) <- slew_tab.((2 * net) + 1)
+  in
+  let slew_changed net =
+    not
+      (same_sens marked.(0) slew_tab.(2 * net)
+      && same_sens marked.(1) slew_tab.((2 * net) + 1))
   in
   (* Force every (cell, edge) regression the design can demand — the
      provider's whole cold cost, so timing this isolates the store's
@@ -865,7 +1092,8 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
   {
     h_provider = provider;
     h_invalidate_net = invalidate_net;
-    h_slew_sig = slew_sig;
+    h_slew_mark = slew_mark;
+    h_slew_changed = slew_changed;
     h_prewarm = prewarm;
   }
 
@@ -926,20 +1154,25 @@ type validation = {
    with its global coefficients) while each path re-simulates stage by
    stage with the fast hop model — the same cell/wire model the
    statistical provider mirrors, so the comparison isolates the
-   propagation and max approximations.  Runs single-threaded. *)
+   propagation and max approximations.  Samples run on [exec], each
+   worker on its own plans (they carry mutable scratch); sample i
+   depends on i alone, so every backend gives the same population. *)
 let validate ?(n = 1000) ?(k = 16) ?(seed = 97) ?(config = default_config)
-    ?provider tech (lib : Library.t) (design : Design.t) =
+    ?(exec = Executor.default ()) ?provider tech (lib : Library.t)
+    (design : Design.t) =
   let scalar = Engine.analyze tech (Provider.nominal lib) design in
   let paths = Engine.worst_paths scalar ~k in
   if paths = [] then invalid_arg "Ssta.validate: design has no PO paths";
-  let plans = List.map (Path_mc.plan_of tech design) paths in
+  let master = Rng.create ~seed in
   let t0 = Metrics.now () in
   let samples =
-    Array.init n (fun i ->
+    Executor.map_scratch exec
+      ~init:(fun () -> List.map (Path_mc.plan_of tech design) paths)
+      (fun plans i ->
         let best = ref Float.neg_infinity in
         List.iter
           (fun plan ->
-            let v = Variation.draw tech (Rng.derive (Rng.create ~seed) ~index:i) in
+            let v = Variation.draw tech (Rng.derive master ~index:i) in
             let d =
               Path_mc.simulate_planned ~kernel:Cell_sim.Fast tech plan v
                 ~record_wire:(fun _ _ -> ())
@@ -947,6 +1180,7 @@ let validate ?(n = 1000) ?(k = 16) ?(seed = 97) ?(config = default_config)
             if d > !best then best := d)
           plans;
         !best)
+      ~n
   in
   let mc_seconds = Metrics.now () -. t0 in
   let sorted = Array.copy samples in

@@ -101,14 +101,19 @@ type handle = {
           from the edited design.  Per-net derived RNG streams make the
           recomputation of {e unedited} nets reproduce their old
           entries bit for bit, which is what makes selective
-          invalidation sound. *)
-  h_slew_sig : int -> int64 array;
-      (** Bitwise signature of the provider's slew-sensitivity state
-          for a net (both edges, presence-tagged float bits).  Slew
+          invalidation sound.  The first call also arms the
+          provider's per-arc cell memo (see {!lvf_handle}). *)
+  h_slew_mark : int -> unit;
+      (** Remember the provider's slew-sensitivity state for a net
+          (both edges) — the reference [h_slew_changed] compares
+          against.  Allocation-free. *)
+  h_slew_changed : int -> bool;
+      (** Whether the net's slew-sensitivity state differs from the one
+          last marked, presence-tagged and float-bitwise.  Slew
           sensitivities feed downstream delay coupling without being
           visible in the arrival slot, so the incremental engine's
-          cutoff equality must include this signature.  A provider with
-          no such state returns a constant (e.g. [[||]]). *)
+          cutoff equality must include this comparison.  A provider
+          with no such state answers [false].  Allocation-free. *)
   h_prewarm : unit -> unit;
       (** Force every per-(cell, edge) regression the design can
           demand — the provider's whole cold cost, isolated so callers
@@ -143,7 +148,18 @@ val lvf_handle :
     (the [NSIGMA_PROVIDER_CACHE] environment directory); pass
     [~store_dir:None] to disable, [~store_dir:(Some dir)] to pin a
     directory.  Hits/misses/stale artifacts tick the
-    [provider.store.*] counters. *)
+    [provider.store.*] counters.
+
+    From the first [h_invalidate_net] on, cell delays and output slews
+    are memoised per arc candidate (gate, input pin, input edge, output
+    edge): a call whose cell (by identity), input net and edge, input
+    slew and load bits and upstream slew-sensitivity bits all equal
+    that candidate's last evaluation returns the stored result, so an
+    edit re-evaluates only the arcs whose inputs moved and every result
+    stays bitwise the unmemoised one.  The memo holds one slot per
+    candidate (Σ pins × input edges of the kind × 2), unboxed; a cold
+    pass never makes it.  Calls tick [sta.ssta.cell_memo.hits] and
+    [sta.ssta.cell_memo.misses] once armed. *)
 
 val lvf_provider :
   ?seed:int ->
@@ -212,7 +228,7 @@ type validation = {
   va_n_paths : int;  (** PO paths in the MC max population *)
   va_mc_n : int;  (** MC samples *)
   va_mc_seconds : float;
-      (** wall-clock of the per-path MC reference (one domain) *)
+      (** wall-clock of the per-path MC reference, on [exec] *)
   va_mc : Nsigma_stats.Moments.summary;  (** max-over-covered-paths population *)
   va_mc_p3 : float;  (** +3 sigma-level empirical quantile *)
   va_mc_m3 : float;  (** −3 sigma-level empirical quantile *)
@@ -231,6 +247,7 @@ val validate :
   ?k:int ->
   ?seed:int ->
   ?config:config ->
+  ?exec:Nsigma_exec.Executor.t ->
   ?provider:provider ->
   Nsigma_process.Technology.t ->
   Nsigma_liberty.Library.t ->
@@ -241,7 +258,9 @@ val validate :
     POs of the nominal engine, [n] (default 1000) samples each, every
     path's sample [i] sharing the global corners (seed-derived) so the
     population reflects the physical cross-path correlation.  Both
-    sides use the same fast hop model.  [provider] defaults to a fresh
+    sides use the same fast hop model.  The MC samples run on [exec]
+    (default {!Nsigma_exec.Executor.default}[ ()]), bit-identical on
+    every backend.  [provider] defaults to a fresh
     {!lvf_provider}; passing one already filled by an earlier pass makes
     the SSTA side a warm re-run, so a speedup is taken against the
     caller's own cold pass, not timed here.

@@ -19,6 +19,7 @@ module Design = Nsigma_sta.Design
 module Engine_core = Nsigma_sta.Engine_core
 module Ssta = Nsigma_sta.Ssta
 module Incremental = Nsigma_sta.Incremental
+module Provider = Nsigma_sta.Provider
 module Metrics = Nsigma_obs.Metrics
 
 let tech = T.with_vdd T.default_28nm 0.6
@@ -415,6 +416,221 @@ let test_store_stale_heals () =
     (Store.find ~dir ~key ~decode:(fun s -> Some s));
   Metrics.set_enabled was
 
+(* ---- the real provider's per-arc cell memo ---- *)
+
+let memo_counts () =
+  ( Metrics.find_counter "sta.ssta.cell_memo.hits",
+    Metrics.find_counter "sta.ssta.cell_memo.misses" )
+
+let with_metrics f =
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) f
+
+let memo_netlist () =
+  G.random_logic ~name:"memo" ~n_inputs:5 ~n_gates:40 ~depth:5 ~seed:3
+
+(* A cold pass evaluates each arc once, so neither a plain analysis nor
+   the incremental engine's initial pass makes the memo. *)
+let test_memo_cold_pass () =
+  let lib = Lazy.force library in
+  let design = Design.attach_parasitics tech (memo_netlist ()) in
+  with_metrics @@ fun () ->
+  let h0, m0 = memo_counts () in
+  let p =
+    Ssta.lvf_provider ~wire_samples:8 ~frac_samples:16 ~store_dir:None tech lib
+      design
+  in
+  ignore (Ssta.analyze tech p design : Ssta.report);
+  let h =
+    Ssta.lvf_handle ~wire_samples:8 ~frac_samples:16 ~store_dir:None tech lib
+      design
+  in
+  ignore (Incremental.init tech h design : Incremental.t);
+  let h1, m1 = memo_counts () in
+  Alcotest.(check (pair int int)) "no memo hits or misses" (0, 0)
+    (h1 - h0, m1 - m0)
+
+(* Same input net, edges, slew and load: only the cell differs after a
+   swap, and that alone must miss and give the new cell's value — the
+   one a fresh provider computes — and swapping the old cell back must
+   miss again and give the old value. *)
+let test_memo_swap_misses () =
+  let lib = Lazy.force library in
+  let design = Design.attach_parasitics tech (memo_netlist ()) in
+  let nl = design.Design.netlist in
+  (* A PI-driven input: no upstream slew sensitivity, in a fresh
+     provider as in this one. *)
+  let gi =
+    match
+      List.find_opt
+        (fun gi -> design.Design.drivers.(nl.N.gates.(gi).N.inputs.(0)) < 0)
+        (List.init (Array.length nl.N.gates) Fun.id)
+    with
+    | Some gi -> gi
+    | None -> Alcotest.fail "no gate with a PI-driven input"
+  in
+  let g = nl.N.gates.(gi) in
+  let h =
+    Ssta.lvf_handle ~wire_samples:8 ~frac_samples:16 ~store_dir:None tech lib
+      design
+  in
+  h.Ssta.h_invalidate_net g.N.output;
+  let edge = Provider.Rise and in_net = g.N.inputs.(0) in
+  let in_edge = List.hd (Engine_core.in_edges_for g.N.cell.Cell.kind edge) in
+  let call (p : Ssta.provider) gate =
+    let d =
+      p.Engine_core.m_cell_delay gate ~edge ~in_net ~in_edge ~input_slew:40e-12
+        ~load_cap:2e-15
+    in
+    let s =
+      p.Engine_core.m_cell_out_slew gate ~edge ~in_net ~in_edge
+        ~input_slew:40e-12 ~load_cap:2e-15
+    in
+    let x = d.Ssta.dd in
+    List.map Int64.bits_of_float
+      ([ s; x.Ssta.d_mean; x.Ssta.d_var_l; x.Ssta.d_m3_l; x.Ssta.d_m4_l ]
+      @ Array.to_list x.Ssta.d_a @ Array.to_list x.Ssta.d_b)
+  in
+  let p = h.Ssta.h_provider in
+  with_metrics @@ fun () ->
+  let delta f =
+    let h0, m0 = memo_counts () in
+    let r = f () in
+    let h1, m1 = memo_counts () in
+    (r, (h1 - h0, m1 - m0))
+  in
+  let old_bits, c = delta (fun () -> call p g) in
+  Alcotest.(check (pair int int)) "first call misses" (0, 2) c;
+  let again, c = delta (fun () -> call p g) in
+  Alcotest.(check (pair int int)) "same inputs hit" (2, 0) c;
+  Alcotest.(check bool) "hit = miss (bitwise)" true (again = old_bits);
+  let strength = if g.N.cell.Cell.strength = 8 then 1 else 8 in
+  let swap cell =
+    ignore (Design.apply_edit design (Edit.Swap_cell { gate = gi; cell }) : int list);
+    nl.N.gates.(gi)
+  in
+  let g' = swap (Cell.make g.N.cell.Cell.kind ~strength) in
+  let new_bits, c = delta (fun () -> call p g') in
+  Alcotest.(check (pair int int)) "swapped gate misses" (0, 2) c;
+  let fresh =
+    Ssta.lvf_provider ~wire_samples:8 ~frac_samples:16 ~store_dir:None tech lib
+      design
+  in
+  Alcotest.(check bool) "swapped = fresh provider (bitwise)" true
+    (new_bits = call fresh g');
+  Alcotest.(check bool) "swap changes the arc" true (new_bits <> old_bits);
+  let back, c = delta (fun () -> call p (swap g.N.cell)) in
+  Alcotest.(check (pair int int)) "swap back misses" (0, 2) c;
+  Alcotest.(check bool) "swap back = original (bitwise)" true (back = old_bits)
+
+(* The cutoff's slew-sensitivity comparison runs twice per re-timed
+   gate, so it must not allocate; it stays presence-tagged: clearing a
+   net's entries counts as a change. *)
+let test_slew_mark_allocation_free () =
+  let lib = Lazy.force library in
+  let design = Design.attach_parasitics tech (memo_netlist ()) in
+  let h =
+    Ssta.lvf_handle ~wire_samples:8 ~frac_samples:16 ~store_dir:None tech lib
+      design
+  in
+  ignore (Incremental.init tech h design : Incremental.t);
+  let net = design.Design.netlist.N.gates.(0).N.output in
+  let n = 10_000 in
+  let changed = ref false in
+  let mw0 = Gc.minor_words () in
+  for _ = 1 to n do
+    h.Ssta.h_slew_mark net;
+    if h.Ssta.h_slew_changed net then changed := true
+  done;
+  let words = (Gc.minor_words () -. mw0) /. float_of_int n in
+  Alcotest.(check bool) "unchanged state reads unchanged" false !changed;
+  if words > 0.01 then
+    Alcotest.failf "%.3f minor words per mark + compare, want 0" words;
+  h.Ssta.h_slew_mark net;
+  h.Ssta.h_invalidate_net net;
+  Alcotest.(check bool) "cleared entries read changed" true
+    (h.Ssta.h_slew_changed net)
+
+(* Random edit sequences with the real provider, reverting edits
+   included (a swap back to the original cell, a load bump undone, a
+   wire scaled by exactly 1): after every edit the incremental report
+   is bitwise a fresh provider's from-scratch analysis, and the memo
+   hits.  Every sequence ends with the same unit wire scale twice: the
+   second re-times the net's driver and sinks on the inputs the first
+   stored, so the memo must hit (the first edit of a handle arms the
+   memo and can only miss). *)
+let prop_memo_random_sequences =
+  let lib = lazy (Lazy.force library) in
+  let dir = lazy (fresh_dir "memo_sequences") in
+  let step = QCheck.(triple (int_bound 4) (int_bound 1000) (int_bound 3)) in
+  QCheck.Test.make ~count:20 ~name:"memo: random sequences = scratch, hits > 0"
+    QCheck.(pair (list_of_size (Gen.int_range 1 4) step) (int_bound 1000))
+    (fun (steps, last) ->
+      let lib = Lazy.force lib and store_dir = Some (Lazy.force dir) in
+      let design_inc = Design.attach_parasitics tech (memo_netlist ()) in
+      let design_ref = Design.attach_parasitics tech (memo_netlist ()) in
+      let nl = design_inc.Design.netlist in
+      let original = Array.copy nl.N.gates in
+      let n_gates = Array.length original in
+      let handle =
+        Ssta.lvf_handle ~wire_samples:8 ~frac_samples:16 ~store_dir tech lib
+          design_inc
+      in
+      let inc = Incremental.init tech handle design_inc in
+      let edits_of (kind, i, j) =
+        let gi = i mod n_gates in
+        let g = original.(gi) in
+        let load delta_cap =
+          Edit.Bump_sink_load { net = g.N.inputs.(0); sink = 0; delta_cap }
+        in
+        match kind with
+        | 0 ->
+          [ Edit.Swap_cell
+              { gate = gi;
+                cell = Cell.make g.N.cell.Cell.kind ~strength:(1 lsl j) } ]
+        | 1 -> [ Edit.Swap_cell { gate = gi; cell = g.N.cell } ]
+        | 2 ->
+          [ Edit.Scale_wire
+              { net = g.N.output; r_scale = 1.0 +. (0.1 *. float_of_int (j + 1));
+                c_scale = 0.9 } ]
+        | 3 -> [ load 1e-15; load (-1e-15) ]
+        | _ -> [ Edit.Scale_wire { net = g.N.output; r_scale = 1.0; c_scale = 1.0 } ]
+      in
+      (* Two pins on one net share a memo slot and evict each other, so
+         the closing edits drive a gate whose input nets are distinct. *)
+      let distinct_inputs gi =
+        let ins = Array.to_list original.(gi).N.inputs in
+        List.length (List.sort_uniq compare ins) = List.length ins
+      in
+      let last =
+        List.find distinct_inputs
+          (List.init n_gates (fun k -> (last + k) mod n_gates))
+      in
+      let edits =
+        List.concat_map edits_of (steps @ [ (4, last, 0); (4, last, 0) ])
+      in
+      with_metrics @@ fun () ->
+      let h0, _ = memo_counts () in
+      List.iter
+        (fun e ->
+          ignore (Incremental.apply inc e : Incremental.stats);
+          ignore (Design.apply_edit design_ref e : int list);
+          let p =
+            Ssta.lvf_provider ~wire_samples:8 ~frac_samples:16 ~store_dir tech
+              lib design_ref
+          in
+          if
+            not
+              (Incremental.reports_bit_identical (Incremental.report inc)
+                 (Ssta.analyze tech p design_ref))
+          then
+            QCheck.Test.fail_reportf "%s: incremental diverged from scratch"
+              (Edit.describe nl e))
+        edits;
+      let h1, _ = memo_counts () in
+      h1 - h0 > 0)
+
 let () =
   Alcotest.run "nsigma_incremental"
     [
@@ -444,5 +660,14 @@ let () =
           Alcotest.test_case "cold/warm roundtrip" `Slow test_store_roundtrip;
           Alcotest.test_case "real provider incremental" `Slow
             test_incremental_real_provider;
+        ] );
+      ( "cell memo",
+        [
+          Alcotest.test_case "cold pass leaves the memo unmade" `Slow
+            test_memo_cold_pass;
+          Alcotest.test_case "swap misses" `Slow test_memo_swap_misses;
+          Alcotest.test_case "slew mark/compare allocate nothing" `Slow
+            test_slew_mark_allocation_free;
+          QCheck_alcotest.to_alcotest ~long:false prop_memo_random_sequences;
         ] );
     ]

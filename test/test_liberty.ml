@@ -238,6 +238,21 @@ let test_lookups_match_grid2d () =
       ([| 20e-12 |], [| 2e-15 |]);
     ]
 
+(* The mean-only lookup is [moments_at]'s mean blend on the same
+   stencil: bitwise equal anywhere, inside the grid or clamped beyond
+   it. *)
+let prop_mean_at_matches_moments_at =
+  let t = synthetic_table (Rng.create ~seed:2027) ~slews:Ch.default_slews
+      ~loads:Ch.default_loads in
+  let axis_span a = (a.(0) *. 0.5, a.(Array.length a - 1) *. 2.0) in
+  let s_lo, s_hi = axis_span t.Ch.slews and l_lo, l_hi = axis_span t.Ch.loads in
+  QCheck.Test.make ~count:500 ~name:"mean_at = (moments_at …).mean (bitwise)"
+    QCheck.(pair (float_range s_lo s_hi) (float_range l_lo l_hi))
+    (fun (slew, load) ->
+      Int64.equal
+        (Int64.bits_of_float (Ch.mean_at t ~slew ~load))
+        (Int64.bits_of_float (Ch.moments_at t ~slew ~load).Moments.mean))
+
 let test_characterize_rejects_bad_axes () =
   let inv = Cell.make Cell.Inv ~strength:1 in
   List.iter
@@ -651,6 +666,7 @@ let () =
           Alcotest.test_case "interp at nodes" `Slow test_moments_at_matches_grid_point;
           Alcotest.test_case "deterministic" `Quick test_characterize_deterministic;
           Alcotest.test_case "lookups = Grid2d (bitwise)" `Quick test_lookups_match_grid2d;
+          QCheck_alcotest.to_alcotest prop_mean_at_matches_moments_at;
           Alcotest.test_case "rejects bad axes" `Quick test_characterize_rejects_bad_axes;
         ] );
       ( "library",

@@ -252,6 +252,28 @@ let test_validate_smoke () =
     (Ssta.quantile v.Ssta.va_ssta_full ~sigma:3.0
      >= Ssta.quantile v.Ssta.va_ssta ~sigma:3.0 -. 1e-15)
 
+(* The per-path MC reference runs on the caller's executor: its
+   population, and so the ±3σ quantiles, is bitwise the same on one
+   domain and on a 2-domain pool. *)
+let test_validate_executor_identity () =
+  let lib = Lazy.force library in
+  let bm = List.find (fun b -> b.Bm.name = "c432-small") Bm.small_variants in
+  let design = Design.attach_parasitics tech (bm.Bm.generate ()) in
+  let provider =
+    Ssta.lvf_provider ~wire_samples:16 ~frac_samples:32 ~store_dir:None tech
+      lib design
+  in
+  let run exec = Ssta.validate ~n:60 ~k:4 ~exec ~provider tech lib design in
+  let a = run Executor.sequential in
+  let b = run (Executor.domain_pool ~jobs:2 ()) in
+  let bits x = Int64.bits_of_float x in
+  let summary (m : Moments.summary) =
+    (m.Moments.n, List.map bits Moments.[ m.mean; m.std; m.skewness; m.kurtosis ])
+  in
+  Alcotest.(check bool) "va_mc" true (summary a.Ssta.va_mc = summary b.Ssta.va_mc);
+  Alcotest.(check int64) "va_mc_p3" (bits a.Ssta.va_mc_p3) (bits b.Ssta.va_mc_p3);
+  Alcotest.(check int64) "va_mc_m3" (bits a.Ssta.va_mc_m3) (bits b.Ssta.va_mc_m3)
+
 (* The accuracy gate of the block-based pass: Clark's ±3σ quantiles
    against a max-over-paths MC at matched coverage, within 5% plus the
    MC reference's own 95% interval half-width — the empirical ±3σ
@@ -477,6 +499,8 @@ let () =
         [
           Alcotest.test_case "lvf provider sanity" `Slow test_lvf_provider_sanity;
           Alcotest.test_case "validate smoke" `Slow test_validate_smoke;
+          Alcotest.test_case "validate MC sequential = pool (bitwise)" `Slow
+            test_validate_executor_identity;
           Alcotest.test_case "clark ±3σ within 5% + ci of path MC" `Slow
             test_clark_tails_vs_path_mc;
           Alcotest.test_case "shadow max only under trace" `Slow
