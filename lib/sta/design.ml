@@ -54,20 +54,30 @@ let tap_of_sink t ~net ~sink_index =
   let taps = t.parasitics.(net).Rctree.taps in
   taps.(sink_index mod Array.length taps)
 
+let pin_cap tech t gate =
+  if gate < 0 then po_load
+  else Cell.input_cap tech t.netlist.Netlist.gates.(gate).Netlist.cell
+
 let sink_caps tech t ~net =
   List.mapi
-    (fun k (gate, pin) ->
-      let tap = tap_of_sink t ~net ~sink_index:k in
-      let cap =
-        if gate < 0 then po_load
-        else begin
-          let cell = t.netlist.Netlist.gates.(gate).Netlist.cell in
-          ignore pin;
-          Cell.input_cap tech cell
-        end
-      in
-      (tap, cap))
+    (fun k (gate, _) -> (tap_of_sink t ~net ~sink_index:k, pin_cap tech t gate))
     t.fanouts.(net)
+
+(* The sum of [sink_caps]'s capacitances, in its order, without building
+   the list: the walk asks for it once per evaluated gate. *)
+let pin_cap_sum tech t ~net =
+  let sum = ref 0.0 and sinks = ref t.fanouts.(net) in
+  while
+    match !sinks with
+    | [] -> false
+    | (gate, _) :: rest ->
+      sum := !sum +. pin_cap tech t gate;
+      sinks := rest;
+      true
+  do
+    ()
+  done;
+  !sum
 
 let loaded_parasitic tech t ~net =
   match t.loaded_cache.(net) with
@@ -82,8 +92,7 @@ let loaded_parasitic tech t ~net =
     tree
 
 let total_load tech t ~net =
-  Rctree.total_cap t.parasitics.(net)
-  +. List.fold_left (fun acc (_, c) -> acc +. c) 0.0 (sink_caps tech t ~net)
+  Rctree.total_cap t.parasitics.(net) +. pin_cap_sum tech t ~net
 
 let apply_edit t edit =
   let module Edit = Nsigma_netlist.Edit in
@@ -121,4 +130,4 @@ let apply_edit t edit =
 let effective_load tech t ~net ~driver =
   let r_drv = Cell.drive_resistance tech driver in
   Nsigma_rcnet.Ceff.effective ~driver_resistance:r_drv t.parasitics.(net)
-  +. List.fold_left (fun acc (_, c) -> acc +. c) 0.0 (sink_caps tech t ~net)
+  +. pin_cap_sum tech t ~net

@@ -229,10 +229,11 @@ let eval_gate (ctx : ('d, 'a) ctx) slots gi =
           Some { arr = { value; slew = out_slew }; pred = Some pred })
     [ Provider.Rise; Provider.Fall ]
 
-(* Per-net PO results in the exact order the full pass conses them
-   (Rise pushed first), so that rebuilding the PO list net-by-net and
-   re-sorting reproduces [analyze]'s output bitwise even through the
-   unstable sort. *)
+(* Per-net PO results, each paired with its [key], in the exact order
+   the full pass conses them (Rise pushed first).  Rebuilding the PO
+   list net-by-net and sorting it with [sort_keyed] reproduces
+   [analyze]'s output bitwise: the sort is stable, so equal keys keep
+   this order. *)
 let po_results_of (ctx : ('d, 'a) ctx) slots ~net:po =
   let alg = ctx.c_alg and model = ctx.c_model in
   let design = ctx.c_design in
@@ -258,43 +259,48 @@ let po_results_of (ctx : ('d, 'a) ctx) slots ~net:po =
               ~tree:(Design.loaded_parasitic ctx.c_tech design ~net:po)
               ~tap
         in
+        let value = alg.add arr.value wire in
         results :=
-          {
-            po_net = po;
-            po_edge = edge;
-            po_tap = tap;
-            po_wire = wire;
-            po_value = alg.add arr.value wire;
-          }
+          ( alg.key value,
+            {
+              po_net = po;
+              po_edge = edge;
+              po_tap = tap;
+              po_wire = wire;
+              po_value = value;
+            } )
           :: !results)
     [ Provider.Rise; Provider.Fall ];
   List.rev !results
 
-let sort_pos (alg : ('d, 'a) algebra) pos =
-  List.sort
-    (fun a b -> Float.compare (alg.key b.po_value) (alg.key a.po_value))
-    pos
+(* Worst first.  [List.sort] is the stdlib's stable merge sort, so equal
+   keys keep their input order; the comparator reads only the paired
+   keys, so each result is keyed once rather than on every comparison. *)
+let sort_keyed keyed =
+  List.map snd (List.sort (fun (ka, _) (kb, _) -> Float.compare kb ka) keyed)
 
-let analyze_ctx ?(span = "sta.analyze") (ctx : ('d, 'a) ctx) :
-    ('d, 'a) report =
+let pos_of_keyed keyed =
+  let pos = ref [] in
+  Array.iter (List.iter (fun r -> pos := r :: !pos)) keyed;
+  sort_keyed !pos
+
+let analyze_keyed ?(span = "sta.analyze") (ctx : ('d, 'a) ctx) =
   Metrics.span span @@ fun () ->
   let nl = ctx.c_design.Design.netlist in
   let slots = Array.make_matrix nl.Netlist.n_nets 2 None in
   init_sources ctx slots;
   Array.iter (fun gi -> eval_gate ctx slots gi) ctx.c_order;
   (* Primary-output arrivals through their final wire segment. *)
-  let pos = ref [] in
-  Array.iter
-    (fun po ->
-      List.iter
-        (fun r -> pos := r :: !pos)
-        (po_results_of ctx slots ~net:po))
-    nl.Netlist.primary_outputs;
-  { design = ctx.c_design; slots; pos = sort_pos ctx.c_alg !pos }
+  let keyed =
+    Array.map (fun po -> po_results_of ctx slots ~net:po) nl.Netlist.primary_outputs
+  in
+  ({ design = ctx.c_design; slots; pos = pos_of_keyed keyed }, keyed)
 
 let analyze ?span ?input_slew ?load_model (alg : ('d, 'a) algebra)
     (model : ('d, 'a) model) tech (design : Design.t) : ('d, 'a) report =
-  analyze_ctx ?span (make_ctx ?input_slew ?load_model alg model tech design)
+  fst
+    (analyze_keyed ?span
+       (make_ctx ?input_slew ?load_model alg model tech design))
 
 let arrival report ~net ~edge =
   Option.map (fun s -> s.arr) report.slots.(net).(edge_index edge)

@@ -133,17 +133,29 @@ val eval_gate : ('d, 'a) ctx -> ('d, 'a) slot option array array -> int -> unit
 
 val po_results_of :
   ('d, 'a) ctx -> ('d, 'a) slot option array array -> net:int ->
-  ('d, 'a) po_result list
-(** The PO results of one primary-output net, in the full pass's
-    internal cons order — rebuilding the PO list net-by-net in
-    [primary_outputs] order and applying {!sort_pos} reproduces
-    [analyze]'s [pos] bitwise. *)
+  (float * ('d, 'a) po_result) list
+(** The PO results of one primary-output net, each paired with the
+    algebra's [key] of its [po_value], in the full pass's internal cons
+    order. *)
 
-val sort_pos : ('d, 'a) algebra -> ('d, 'a) po_result list -> ('d, 'a) po_result list
-(** Worst-first ordering by [key] (the full pass's exact sort). *)
+val sort_keyed : (float * 'r) list -> 'r list
+(** Worst-first ordering by the paired keys: the stdlib's [List.sort],
+    which is stable, with [Float.compare kb ka], so equal keys keep
+    their input order.  With each key computed once per result, this is
+    the full pass's exact PO sort. *)
 
-val analyze_ctx : ?span:string -> ('d, 'a) ctx -> ('d, 'a) report
-(** One topological pass over a prebuilt ctx. *)
+val pos_of_keyed :
+  (float * ('d, 'a) po_result) list array -> ('d, 'a) po_result list
+(** The [pos] of a pass from {!po_results_of} of each entry of
+    [primary_outputs] (index [i] holds entry [i]'s results): consed in
+    that order, as the full pass does, then {!sort_keyed}.  Bitwise
+    [analyze]'s [pos] when every entry is current. *)
+
+val analyze_keyed :
+  ?span:string -> ('d, 'a) ctx ->
+  ('d, 'a) report * (float * ('d, 'a) po_result) list array
+(** One topological pass over a prebuilt ctx, also returning the keyed
+    PO results of each entry of [primary_outputs]. *)
 
 val analyze :
   ?span:string ->

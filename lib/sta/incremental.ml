@@ -16,6 +16,13 @@
    the resulting report is bit-for-bit the report a from-scratch
    analysis of the edited design would produce.
 
+   The keyed PO results are retained per primary output as well.  A PO
+   result reads only its net's arrival slots, the net's wire state and
+   the tap of its PO sink: the slots change only when the net's driver
+   is re-evaluated, the wire state and the tap only when the net is
+   invalidated.  So an edit recomputes the results of just those PO
+   nets, and its PO cost beyond them is one sort of cached float keys.
+
    Worklist ordering guarantees single evaluation per gate per edit:
    the heap pops in nondecreasing rank and every push targets a
    strictly higher rank (a gate's fanout is downstream of it), so no
@@ -32,6 +39,7 @@ let m_edits = Metrics.counter "sta.incr.edits"
 let m_invalidated = Metrics.counter "sta.incr.invalidated_nets"
 let m_dirty = Metrics.counter "sta.incr.dirty_gates"
 let m_cutoffs = Metrics.counter "sta.incr.cutoff_hits"
+let m_po_updates = Metrics.counter "sta.incr.po_updates"
 
 let tr_edit = Trace.span_type ~cat:"incr" "incr.edit"
 
@@ -101,6 +109,11 @@ type t = {
   rank : int array;  (* gate -> position in ctx.c_order *)
   queued : bool array;  (* gate -> currently in the heap *)
   heap : Int_heap.t;
+  po_keyed : (float * (Ssta.delay, Ssta.dist) Engine_core.po_result) list array;
+      (* primary_outputs entry -> its keyed results *)
+  is_po : bool array;  (* net -> listed in primary_outputs *)
+  po_dirty : bool array;  (* net -> a PO net whose results are stale *)
+  mutable n_po_dirty : int;
   mutable pos : (Ssta.delay, Ssta.dist) Engine_core.po_result list;
 }
 
@@ -155,10 +168,15 @@ let init ?input_slew ?load_model ?(config = Ssta.default_config) tech
     Engine_core.make_ctx ?input_slew ?load_model (Ssta.algebra config)
       handle.Ssta.h_provider tech design
   in
-  let report = Engine_core.analyze_ctx ~span:"sta.incr.init" ctx in
-  let n_gates = Array.length design.Design.netlist.Netlist.gates in
+  let report, po_keyed =
+    Engine_core.analyze_keyed ~span:"sta.incr.init" ctx
+  in
+  let nl = design.Design.netlist in
+  let n_gates = Array.length nl.Netlist.gates in
   let rank = Array.make n_gates 0 in
   Array.iteri (fun r gi -> rank.(gi) <- r) ctx.Engine_core.c_order;
+  let is_po = Array.make nl.Netlist.n_nets false in
+  Array.iter (fun po -> is_po.(po) <- true) nl.Netlist.primary_outputs;
   {
     ctx;
     handle;
@@ -166,6 +184,10 @@ let init ?input_slew ?load_model ?(config = Ssta.default_config) tech
     rank;
     queued = Array.make n_gates false;
     heap = Int_heap.create ();
+    po_keyed;
+    is_po;
+    po_dirty = Array.make nl.Netlist.n_nets false;
+    n_po_dirty = 0;
     pos = report.Engine_core.pos;
   }
 
@@ -175,6 +197,37 @@ let report t : Ssta.report =
     slots = t.slots;
     pos = t.pos;
   }
+
+let mark_po t net =
+  if t.is_po.(net) && not t.po_dirty.(net) then begin
+    t.po_dirty.(net) <- true;
+    t.n_po_dirty <- t.n_po_dirty + 1
+  end
+
+(* Recompute the marked PO nets' results and re-sort the PO list; the
+   other entries are still exactly what a full pass would produce.
+   Returns the number of PO results recomputed. *)
+let update_pos t =
+  Metrics.span "sta.incr.pos" @@ fun () ->
+  if t.n_po_dirty = 0 then 0
+  else begin
+    let outputs =
+      t.ctx.Engine_core.c_design.Design.netlist.Netlist.primary_outputs
+    in
+    let updates = ref 0 in
+    Array.iteri
+      (fun entry po ->
+        if t.po_dirty.(po) then begin
+          let keyed = Engine_core.po_results_of t.ctx t.slots ~net:po in
+          t.po_keyed.(entry) <- keyed;
+          updates := !updates + List.length keyed
+        end)
+      outputs;
+    Array.iter (fun po -> t.po_dirty.(po) <- false) outputs;
+    t.n_po_dirty <- 0;
+    t.pos <- Engine_core.pos_of_keyed t.po_keyed;
+    !updates
+  end
 
 let apply t edit =
   let t_start = Metrics.now () in
@@ -193,6 +246,7 @@ let apply t edit =
      sink gates see a new wire delay / pin slew. *)
   List.iter
     (fun net ->
+      mark_po t net;
       push design.Design.drivers.(net);
       List.iter (fun (g, _) -> push g) design.Design.fanouts.(net))
     invalidated;
@@ -208,6 +262,7 @@ let apply t edit =
     let before1 = t.slots.(out_net).(1) in
     t.handle.Ssta.h_slew_mark out_net;
     Engine_core.eval_gate t.ctx t.slots gi;
+    mark_po t out_net;
     let changed =
       (not (slot_eq before0 t.slots.(out_net).(0)))
       || (not (slot_eq before1 t.slots.(out_net).(1)))
@@ -217,23 +272,13 @@ let apply t edit =
       List.iter (fun (g, _) -> push g) design.Design.fanouts.(out_net)
     else incr cutoffs
   done;
-  (* The PO list is rebuilt wholesale: per-net results come from cached
-     provider/wire state (cheap after the walk above) and in the full
-     pass's exact cons order, so the re-sorted list is bitwise the one
-     a from-scratch analysis would produce. *)
-  let pos = ref [] in
-  Array.iter
-    (fun po ->
-      List.iter
-        (fun r -> pos := r :: !pos)
-        (Engine_core.po_results_of t.ctx t.slots ~net:po))
-    design.Design.netlist.Netlist.primary_outputs;
-  t.pos <- Engine_core.sort_pos t.ctx.Engine_core.c_alg !pos;
+  let po_updates = update_pos t in
   let n_invalidated = List.length invalidated in
   Metrics.incr m_edits;
   Metrics.incr m_invalidated ~by:n_invalidated;
   Metrics.incr m_dirty ~by:!dirty;
   Metrics.incr m_cutoffs ~by:!cutoffs;
+  Metrics.incr m_po_updates ~by:po_updates;
   if Trace.enabled () then
     Trace.instant tr_edit_stats
       ~a:(float_of_int n_invalidated)

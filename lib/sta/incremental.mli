@@ -20,9 +20,19 @@
     from-scratch {!Ssta.analyze} of the edited design would produce
     ({!reports_bit_identical} checks exactly this).
 
+    {b PO results.}  The keyed PO results ({!Engine_core.po_results_of})
+    are retained per entry of [primary_outputs].  An edit recomputes
+    only those of the PO nets it invalidated or whose driver it
+    re-evaluated (nothing else they read can change), then rebuilds the
+    PO list with {!Engine_core.pos_of_keyed}: an edit costs its cone
+    plus one sort of cached float keys, and nothing when its cone
+    reaches no PO.
+
     Instrumented with the [sta.incr.*] counters (edits, invalidated
-    nets, dirty gates, cutoff hits), the [sta.incr.apply] metrics span
-    and an [incr.edit] trace span (+ per-edit stats instant). *)
+    nets, dirty gates, cutoff hits, PO results recomputed as
+    [po_updates]), the [sta.incr.apply] metrics span with
+    [sta.incr.pos] around the PO update inside it, and an [incr.edit]
+    trace span (+ per-edit stats instant). *)
 
 type t
 (** Retained analysis state for one design.  Owns its design and

@@ -106,26 +106,26 @@ let zero_dist =
    standard normal z: per factor Var = a²+2b², m3 = 6a²b+8b³,
    m4 = 3a⁴+60a²b²+60b⁴; across independent factors variances and third
    moments add and the fourth moment gains 6·Σ_{i<j} v_i·v_j. *)
-let var_g d =
+let var_g_of (ca : float array) (cb : float array) =
   let acc = ref 0.0 in
   for i = 0 to ng - 1 do
-    let a = d.d_a.(i) and b = d.d_b.(i) in
+    let a = ca.(i) and b = cb.(i) in
     acc := !acc +. (a *. a) +. (2.0 *. b *. b)
   done;
   !acc
 
-let m3_g d =
+let m3_g_of (ca : float array) (cb : float array) =
   let acc = ref 0.0 in
   for i = 0 to ng - 1 do
-    let a = d.d_a.(i) and b = d.d_b.(i) in
+    let a = ca.(i) and b = cb.(i) in
     acc := !acc +. (6.0 *. a *. a *. b) +. (8.0 *. b *. b *. b)
   done;
   !acc
 
-let m4_g d =
+let m4_g_of (ca : float array) (cb : float array) =
   let sum_m4 = ref 0.0 and sum_v = ref 0.0 and sum_v2 = ref 0.0 in
   for i = 0 to ng - 1 do
-    let a = d.d_a.(i) and b = d.d_b.(i) in
+    let a = ca.(i) and b = cb.(i) in
     let a2 = a *. a and b2 = b *. b in
     let v = a2 +. (2.0 *. b2) in
     sum_m4 := !sum_m4 +. (3.0 *. a2 *. a2) +. (60.0 *. a2 *. b2) +. (60.0 *. b2 *. b2);
@@ -133,6 +133,10 @@ let m4_g d =
     sum_v2 := !sum_v2 +. (v *. v)
   done;
   !sum_m4 +. (3.0 *. ((!sum_v *. !sum_v) -. !sum_v2))
+
+let var_g d = var_g_of d.d_a d.d_b
+let m3_g d = m3_g_of d.d_a d.d_b
+let m4_g d = m4_g_of d.d_a d.d_b
 
 let variance d = var_g d +. d.d_var_l
 let std d = sqrt (variance d)
@@ -199,10 +203,15 @@ let default_config = { op = Stat_max.Clark; corr = Tracked }
    cross term).  The G/L split makes the correlated cross-moments exact
    by construction — they are reassembled in [to_summary]. *)
 let add_dist (a : dist) (d : dist) =
+  let ca = Array.create_float ng and cb = Array.create_float ng in
+  for i = 0 to ng - 1 do
+    ca.(i) <- a.d_a.(i) +. d.d_a.(i);
+    cb.(i) <- a.d_b.(i) +. d.d_b.(i)
+  done;
   {
     d_mean = a.d_mean +. d.d_mean;
-    d_a = Array.init ng (fun i -> a.d_a.(i) +. d.d_a.(i));
-    d_b = Array.init ng (fun i -> a.d_b.(i) +. d.d_b.(i));
+    d_a = ca;
+    d_b = cb;
     d_var_l = a.d_var_l +. d.d_var_l;
     d_m3_l = a.d_m3_l +. d.d_m3_l;
     d_m4_l = a.d_m4_l +. d.d_m4_l +. (6.0 *. a.d_var_l *. d.d_var_l);
@@ -238,24 +247,27 @@ let resplit (r : Stat_max.result) (a : dist) (b : dist) =
   let p = r.Stat_max.p_first in
   let q = 1.0 -. p in
   let m2, m3, m4 = Moments.central_of_summary r.Stat_max.dist in
-  let ca = Array.init ng (fun i -> (p *. a.d_a.(i)) +. (q *. b.d_a.(i))) in
-  let cb = Array.init ng (fun i -> (p *. a.d_b.(i)) +. (q *. b.d_b.(i))) in
-  let g = { zero_dist with d_a = ca; d_b = cb } in
-  let vg = var_g g in
+  let ca = Array.create_float ng and cb = Array.create_float ng in
+  for i = 0 to ng - 1 do
+    ca.(i) <- (p *. a.d_a.(i)) +. (q *. b.d_a.(i));
+    cb.(i) <- (p *. a.d_b.(i)) +. (q *. b.d_b.(i))
+  done;
+  let vg = var_g_of ca cb in
   let share d = let v = variance d in if v > 0.0 then var_g d /. v else 0.0 in
   let vg_target =
     Float.min m2
       (Float.max vg (((p *. share a) +. (q *. share b)) *. m2))
   in
   let scale = if vg > 0.0 && vg_target > 0.0 then sqrt (vg_target /. vg) else 1.0 in
-  let ca = Array.map (fun x -> x *. scale) ca in
-  let cb = Array.map (fun x -> x *. scale) cb in
-  let g = { zero_dist with d_a = ca; d_b = cb } in
-  let vg = var_g g in
+  for i = 0 to ng - 1 do
+    ca.(i) <- ca.(i) *. scale;
+    cb.(i) <- cb.(i) *. scale
+  done;
+  let vg = var_g_of ca cb in
   let var_l = Float.max 0.0 (m2 -. vg) in
   let m3_l, m4_l =
-    clamp_locals ~var_l ~m3_l:(m3 -. m3_g g)
-      ~m4_l:(m4 -. m4_g g -. (6.0 *. vg *. var_l))
+    clamp_locals ~var_l ~m3_l:(m3 -. m3_g_of ca cb)
+      ~m4_l:(m4 -. m4_g_of ca cb -. (6.0 *. vg *. var_l))
   in
   {
     d_mean = r.Stat_max.dist.Moments.mean;
@@ -423,12 +435,17 @@ let delay_to_memo v slot (d : delay) =
 
 let delay_of_memo v slot =
   let o = slot * delay_w in
+  let ca = Array.create_float ng and cb = Array.create_float ng in
+  for i = 0 to ng - 1 do
+    ca.(i) <- Float.Array.get v (o + 1 + i);
+    cb.(i) <- Float.Array.get v (o + 1 + ng + i)
+  done;
   {
     dd =
       {
         d_mean = Float.Array.get v o;
-        d_a = Array.init ng (fun i -> Float.Array.get v (o + 1 + i));
-        d_b = Array.init ng (fun i -> Float.Array.get v (o + 1 + ng + i));
+        d_a = ca;
+        d_b = cb;
         d_var_l = Float.Array.get v (o + 1 + (2 * ng));
         d_m3_l = Float.Array.get v (o + 2 + (2 * ng));
         d_m4_l = Float.Array.get v (o + 3 + (2 * ng));
@@ -731,23 +748,21 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
     end
     else begin
       let r = sqrt (vg_target /. vg_ref) in
-      let g =
-        {
-          zero_dist with
-          d_a = Array.map (fun x -> x *. r) resp.ar_a;
-          d_b = Array.map (fun x -> x *. r) resp.ar_b;
-        }
-      in
-      let vg = var_g g in
+      let ca = Array.create_float ng and cb = Array.create_float ng in
+      for i = 0 to ng - 1 do
+        ca.(i) <- resp.ar_a.(i) *. r;
+        cb.(i) <- resp.ar_b.(i) *. r
+      done;
+      let vg = var_g_of ca cb in
       let var_l = Float.max 0.0 (m2 -. vg) in
       let m3_l, m4_l =
-        clamp_locals ~var_l ~m3_l:(m3 -. m3_g g)
-          ~m4_l:(m4 -. m4_g g -. (6.0 *. vg *. var_l))
+        clamp_locals ~var_l ~m3_l:(m3 -. m3_g_of ca cb)
+          ~m4_l:(m4 -. m4_g_of ca cb -. (6.0 *. vg *. var_l))
       in
       {
         d_mean = s.Moments.mean;
-        d_a = g.d_a;
-        d_b = g.d_b;
+        d_a = ca;
+        d_b = cb;
         d_var_l = var_l;
         d_m3_l = m3_l;
         d_m4_l = m4_l;
@@ -848,8 +863,11 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
         if input_slew > 0.0 then Float.min 1.0 (ss.ss_root /. input_slew)
         else 1.0
       in
-      let sa = Array.map (fun x -> atten *. x) ss.ss_a in
-      let sb = Array.map (fun x -> atten *. x) ss.ss_b in
+      let sa = Array.create_float ng and sb = Array.create_float ng in
+      for i = 0 to ng - 1 do
+        sa.(i) <- atten *. ss.ss_a.(i);
+        sb.(i) <- atten *. ss.ss_b.(i)
+      done;
       let sl = atten *. ss.ss_l in
       let var_s = ref (sl *. sl) in
       for i = 0 to ng - 1 do
@@ -927,14 +945,17 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
            shifts by ½·D″·Var(slew) (Jensen).  The table,
            characterized at fixed slew, contains none of this. *)
         let dv = d1 *. d1 *. sl *. sl in
+        let ca = Array.create_float ng and cb = Array.create_float ng in
+        for i = 0 to ng - 1 do
+          ca.(i) <- base.d_a.(i) +. (d1 *. sa.(i));
+          cb.(i) <-
+            base.d_b.(i) +. (d1 *. sb.(i)) +. (0.5 *. d2 *. sa.(i) *. sa.(i))
+        done;
         {
           base with
           d_mean = base.d_mean +. (0.5 *. d2 *. var_s);
-          d_a = Array.init ng (fun i -> base.d_a.(i) +. (d1 *. sa.(i)));
-          d_b =
-            Array.init ng (fun i ->
-                base.d_b.(i) +. (d1 *. sb.(i))
-                +. (0.5 *. d2 *. sa.(i) *. sa.(i)));
+          d_a = ca;
+          d_b = cb;
           d_var_l = base.d_var_l +. dv;
           d_m4_l =
             base.d_m4_l +. (3.0 *. dv *. dv) +. (6.0 *. base.d_var_l *. dv);
@@ -954,24 +975,34 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
     let scale =
       if resp.ar_slew_mean > 0.0 then out /. resp.ar_slew_mean else 1.0
     in
-    let ca, cb, cl, jensen =
+    (* The entry's arrays take the input-slew coupling first; the
+       direct response is added on top below. *)
+    let ss_a = Array.create_float ng and ss_b = Array.create_float ng in
+    let cl, jensen =
       match incoming up ~input_slew with
-      | None -> (Array.make ng 0.0, Array.make ng 0.0, 0.0, 0.0)
+      | None ->
+        Array.fill ss_a 0 ng 0.0;
+        Array.fill ss_b 0 ng 0.0;
+        (0.0, 0.0)
       | Some (sa, sb, sl, var_s) ->
         let s1 = dq_ds slew_at ~slew:input_slew in
         let s2 = curvature slew_at tbl ~slew:input_slew in
-        ( Array.init ng (fun i -> s1 *. sa.(i)),
-          Array.init ng (fun i ->
-              (s1 *. sb.(i)) +. (0.5 *. s2 *. sa.(i) *. sa.(i))),
-          s1 *. sl,
-          0.5 *. s2 *. var_s )
+        for i = 0 to ng - 1 do
+          ss_a.(i) <- s1 *. sa.(i);
+          ss_b.(i) <- (s1 *. sb.(i)) +. (0.5 *. s2 *. sa.(i) *. sa.(i))
+        done;
+        (s1 *. sl, 0.5 *. s2 *. var_s)
     in
+    for i = 0 to ng - 1 do
+      ss_a.(i) <- (scale *. resp.ar_sa.(i)) +. ss_a.(i);
+      ss_b.(i) <- (scale *. resp.ar_sb.(i)) +. ss_b.(i)
+    done;
     let direct_l = scale *. resp.ar_sl in
     let out = out +. jensen in
     slew_tab.(out_ix) <-
       {
-        ss_a = Array.init ng (fun i -> (scale *. resp.ar_sa.(i)) +. ca.(i));
-        ss_b = Array.init ng (fun i -> (scale *. resp.ar_sb.(i)) +. cb.(i));
+        ss_a;
+        ss_b;
         ss_l = sqrt ((direct_l *. direct_l) +. (cl *. cl));
         ss_root = out;
       };

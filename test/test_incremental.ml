@@ -552,6 +552,55 @@ let test_slew_mark_allocation_free () =
   Alcotest.(check bool) "cleared entries read changed" true
     (h.Ssta.h_slew_changed net)
 
+(* The words of a freshly built dist: the record, its four boxed float
+   fields and its two [ng]-float coefficient arrays. *)
+let dist_words = 7 + (4 * 2) + (2 * (1 + ng))
+
+(* Arrival arithmetic runs for every candidate of every re-timed gate,
+   so [add] and a memo hit build their result and nothing else: no
+   boxed float per coefficient. *)
+let test_dist_allocation () =
+  let per_call n f =
+    let mw0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. mw0) /. float_of_int n
+  in
+  let check_words what want got =
+    if Float.abs (got -. float_of_int want) > 0.01 then
+      Alcotest.failf "%s: %.3f minor words per call, want %d" what got want
+  in
+  let alg = Ssta.algebra Ssta.default_config in
+  let a = { (local_dist 10e-12 1e-12) with Ssta.d_a = [| 1e-12; 2e-12; 3e-12 |] } in
+  let d = { Ssta.dd = local_dist 5e-12 0.5e-12; d_slew_tc = 0.0 } in
+  check_words "algebra add" dist_words
+    (per_call 10_000 (fun () -> alg.Engine_core.add a d));
+  let lib = Lazy.force library in
+  let design = Design.attach_parasitics tech (memo_netlist ()) in
+  let g = design.Design.netlist.N.gates.(0) in
+  let h =
+    Ssta.lvf_handle ~wire_samples:8 ~frac_samples:16 ~store_dir:None tech lib
+      design
+  in
+  h.Ssta.h_invalidate_net g.N.output;
+  let edge = Provider.Rise and in_net = g.N.inputs.(0) in
+  let in_edge = List.hd (Engine_core.in_edges_for g.N.cell.Cell.kind edge) in
+  let call () =
+    h.Ssta.h_provider.Engine_core.m_cell_delay g ~edge ~in_net ~in_edge
+      ~input_slew:40e-12 ~load_cap:2e-15
+  in
+  let hits =
+    with_metrics @@ fun () ->
+    ignore (call () : Ssta.delay);
+    let h0, _ = memo_counts () in
+    ignore (call () : Ssta.delay);
+    fst (memo_counts ()) - h0
+  in
+  Alcotest.(check int) "second call hits" 1 hits;
+  (* The delay record itself: its dist and a static 0.0. *)
+  check_words "memo-hit cell delay" (3 + dist_words) (per_call 10_000 call)
+
 (* Random edit sequences with the real provider, reverting edits
    included (a swap back to the original cell, a load bump undone, a
    wire scaled by exactly 1): after every edit the incremental report
@@ -631,6 +680,123 @@ let prop_memo_random_sequences =
       let h1, _ = memo_counts () in
       h1 - h0 > 0)
 
+(* ---- retained PO results ---- *)
+
+(* A PO net that also feeds a gate and is listed twice, a PO-only net,
+   a primary input that is also a primary output, and a dangling gate
+   whose cone reaches no PO. *)
+let po_netlist () =
+  let b = B.create ~name:"pos" in
+  let a = B.input b "a" and c = B.input b "c" in
+  let n1 = B.inv b a in
+  let n3 = B.inv b (B.nand2 b n1 c) in
+  let n4 = B.inv b n3 in
+  ignore (B.inv b n1 : int);
+  List.iter (B.output b) [ n3; n4; n3; c ];
+  B.finish b
+
+let po_updates () = Metrics.find_counter "sta.incr.po_updates"
+
+(* Each edit goes to the incremental engine and to a reference design
+   re-analysed from scratch; a rejected edit must be rejected by both.
+   After every edit the reports must be bitwise equal.  Returns each
+   edit's [sta.incr.po_updates] count. *)
+let po_sequence ~make_netlist edits =
+  let design_inc = Design.attach_parasitics tech (make_netlist ()) in
+  let design_ref = Design.attach_parasitics tech (make_netlist ()) in
+  let inc =
+    Incremental.init tech (Ssta.handle_of_provider load_provider) design_inc
+  in
+  with_metrics @@ fun () ->
+  List.mapi
+    (fun i e ->
+      let u0 = po_updates () in
+      (match Incremental.apply inc e with
+      | (_ : Incremental.stats) ->
+        ignore (Design.apply_edit design_ref e : int list)
+      | exception Edit.Edit_error _ ->
+        expect_edit_error "reference" (fun () -> Design.apply_edit design_ref e));
+      if
+        not
+          (Incremental.reports_bit_identical (Incremental.report inc)
+             (scratch_report load_provider design_ref))
+      then
+        Alcotest.failf "edit %d (%s): incremental diverged from scratch" i
+          (Edit.describe design_inc.Design.netlist e);
+      po_updates () - u0)
+    edits
+
+let po_sink (design : Design.t) net =
+  match List.find_index (fun (g, _) -> g < 0) design.Design.fanouts.(net) with
+  | Some k -> k
+  | None -> Alcotest.failf "net %d has no PO sink" net
+
+let test_po_cache_edits () =
+  let nl = po_netlist () in
+  let design = Design.attach_parasitics tech nl in
+  let n3 = nl.N.primary_outputs.(0) and n4 = nl.N.primary_outputs.(1) in
+  let c = nl.N.primary_outputs.(3) in
+  let dangling = nl.N.gates.(Array.length nl.N.gates - 1).N.output in
+  let inv4 = Cell.make Cell.Inv ~strength:4 in
+  let cases =
+    [
+      ("scale a PO net", true, Edit.Scale_wire { net = n3; r_scale = 1.3; c_scale = 1.2 });
+      ( "bump its PO sink",
+        true,
+        Edit.Bump_sink_load { net = n3; sink = po_sink design n3; delta_cap = 2e-15 } );
+      ( "bump a PO-only net",
+        true,
+        Edit.Bump_sink_load { net = n4; sink = po_sink design n4; delta_cap = 1e-15 } );
+      ("swap a PO's driver", true, Edit.Swap_cell { gate = design.Design.drivers.(n4); cell = inv4 });
+      ("scale a PI that is a PO", true, Edit.Scale_wire { net = c; r_scale = 2.0; c_scale = 2.0 });
+      ("reach no PO", false, Edit.Scale_wire { net = dangling; r_scale = 1.5; c_scale = 1.5 });
+      ("failed edit", false, Edit.Bump_sink_load { net = n4; sink = 9; delta_cap = 1e-15 });
+    ]
+  in
+  let updates =
+    po_sequence ~make_netlist:po_netlist (List.map (fun (_, _, e) -> e) cases)
+  in
+  let max_results = 2 * Array.length nl.N.primary_outputs in
+  List.iter2
+    (fun (what, reaches, _) n ->
+      if reaches then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: 0 < %d PO updates <= %d" what n max_results)
+          true
+          (n > 0 && n <= max_results)
+      else Alcotest.(check int) (what ^ ": no PO update") 0 n)
+    cases updates
+
+(* Every PO net of a random circuit: its wire scaled, its PO sink
+   loaded, its driver swapped. *)
+let test_po_cache_random () =
+  let make_netlist () =
+    G.random_logic ~name:"r" ~n_inputs:6 ~n_gates:60 ~depth:6 ~seed:11
+  in
+  let nl = make_netlist () in
+  let design = Design.attach_parasitics tech nl in
+  let edits =
+    List.concat_map
+      (fun po ->
+        let driver = design.Design.drivers.(po) in
+        [
+          Edit.Scale_wire { net = po; r_scale = 1.2; c_scale = 1.1 };
+          Edit.Bump_sink_load { net = po; sink = po_sink design po; delta_cap = 1e-15 };
+        ]
+        @
+        if driver < 0 then []
+        else
+          let g = nl.N.gates.(driver) in
+          [ Edit.Swap_cell
+              { gate = driver;
+                cell = Cell.make g.N.cell.Cell.kind
+                    ~strength:(if g.N.cell.Cell.strength = 4 then 2 else 4) } ])
+      (Array.to_list nl.N.primary_outputs)
+  in
+  List.iter
+    (fun n -> Alcotest.(check bool) "the edit's PO results recomputed" true (n > 0))
+    (po_sequence ~make_netlist edits)
+
 let () =
   Alcotest.run "nsigma_incremental"
     [
@@ -652,6 +818,10 @@ let () =
             test_cone_smaller_than_circuit;
           Alcotest.test_case "failed edit leaves state" `Quick
             test_edit_error_leaves_state;
+          Alcotest.test_case "PO cache: PO edits, no-PO edit, failed edit"
+            `Quick test_po_cache_edits;
+          Alcotest.test_case "PO cache: every PO of a random circuit" `Quick
+            test_po_cache_random;
         ] );
       ( "store",
         [
@@ -668,6 +838,8 @@ let () =
           Alcotest.test_case "swap misses" `Slow test_memo_swap_misses;
           Alcotest.test_case "slew mark/compare allocate nothing" `Slow
             test_slew_mark_allocation_free;
+          Alcotest.test_case "add and memo hit allocate their result" `Slow
+            test_dist_allocation;
           QCheck_alcotest.to_alcotest ~long:false prop_memo_random_sequences;
         ] );
     ]

@@ -8,6 +8,7 @@ module B = Nsigma_netlist.Builder
 module Design = Nsigma_sta.Design
 module Provider = Nsigma_sta.Provider
 module Engine = Nsigma_sta.Engine
+module Engine_core = Nsigma_sta.Engine_core
 module Path = Nsigma_sta.Path
 module Rctree = Nsigma_rcnet.Rctree
 
@@ -118,6 +119,68 @@ let test_total_load_includes_pins () =
   let pin = Cell.input_cap tech (Cell.make Cell.Inv ~strength:1) in
   check_close ~eps:1e-12 "wire + pin" (wire_cap +. pin) load
 
+(* Both loads sum the sink pin caps without building [sink_caps]; the
+   sum must be the list fold's, in its order, bit for bit. *)
+let test_loads_sum_sink_caps () =
+  let nl =
+    Nsigma_netlist.Generators.random_logic ~name:"r" ~n_inputs:6 ~n_gates:60
+      ~depth:6 ~seed:11
+  in
+  let design = Design.attach_parasitics tech nl in
+  let bits = Int64.bits_of_float in
+  for net = 0 to nl.N.n_nets - 1 do
+    let pins =
+      List.fold_left (fun acc (_, c) -> acc +. c) 0.0
+        (Design.sink_caps tech design ~net)
+    in
+    let tree = design.Design.parasitics.(net) in
+    if
+      bits (Design.total_load tech design ~net)
+      <> bits (Rctree.total_cap tree +. pins)
+    then Alcotest.failf "net %d: total load differs from the fold" net;
+    let driver = Cell.make Cell.Nand2 ~strength:2 in
+    let r_drv = Cell.drive_resistance tech driver in
+    if
+      bits (Design.effective_load tech design ~net ~driver)
+      <> bits (Nsigma_rcnet.Ceff.effective ~driver_resistance:r_drv tree +. pins)
+    then Alcotest.failf "net %d: effective load differs from the fold" net
+  done
+
+(* Keys drawn to collide: repeats, NaN, both zeros and both infinities,
+   beside ordinary values. *)
+let keys_arb =
+  let special = [ Float.nan; 0.0; -0.0; infinity; neg_infinity; 1.0; -2.5 ] in
+  QCheck.make
+    ~print:QCheck.Print.(list float)
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (frequency [ (3, oneofl special); (1, float_range (-10.0) 10.0) ]))
+
+(* [sort_keyed] reads keys computed once per result; it must order them
+   as [List.sort] does when it keys both sides of every comparison, and
+   ties (NaN with NaN, -0 with +0, repeats) keep their input order: the
+   stability the PO list's bit-identity rests on. *)
+let prop_sort_keyed =
+  QCheck.Test.make ~count:500 ~name:"sort_keyed = List.sort on the key comparator"
+    keys_arb (fun keys ->
+      let items = List.mapi (fun id k -> (id, k)) keys in
+      let key (_, k) = k in
+      let ids = List.map fst in
+      let ours =
+        Engine_core.sort_keyed (List.map (fun it -> (key it, it)) items)
+      in
+      let theirs =
+        List.sort (fun a b -> Float.compare (key b) (key a)) items
+      in
+      let rec stable = function
+        | (i, ka) :: ((j, kb) :: _ as rest) ->
+          Float.compare kb ka <= 0
+          && (Float.compare ka kb <> 0 || i < j)
+          && stable rest
+        | _ -> true
+      in
+      ids ours = ids theirs && stable ours)
+
 let test_real_provider_on_benchmark () =
   (* Run the nominal provider end-to-end on a small real circuit. *)
   let cells =
@@ -192,7 +255,10 @@ let () =
         [
           Alcotest.test_case "tap mapping" `Quick test_design_tap_mapping;
           Alcotest.test_case "total load" `Quick test_total_load_includes_pins;
+          Alcotest.test_case "loads sum the sink caps (bitwise)" `Quick
+            test_loads_sum_sink_caps;
         ] );
+      ("engine core", [ QCheck_alcotest.to_alcotest ~long:false prop_sort_keyed ]);
       ( "end-to-end",
         [
           Alcotest.test_case "benchmark STA" `Slow test_real_provider_on_benchmark;
