@@ -158,6 +158,28 @@ let eval_gate (ctx : ('d, 'a) ctx) slots gi =
     | `Effective ->
       Design.effective_load tech design ~net:out_net ~driver:gate.Netlist.cell
   in
+  (* A pin's tap and wire delay depend on the pin alone, not on the
+     candidate's edges: each is computed at the pin's first present
+     input slot (where every candidate used to ask for it) and reused
+     by the pin's later candidates of both output edges.  A tap is a
+     tree node index, so -1 marks a pin not yet reached. *)
+  let n_pins = Array.length gate.Netlist.inputs in
+  let pin_tap = Array.make n_pins (-1) in
+  let pin_wire = Array.make n_pins alg.no_delay in
+  let wire_of_pin pin in_net =
+    if pin_tap.(pin) < 0 then begin
+      let k = ctx.c_sink_index.(gi).(pin) in
+      let tap = Design.tap_of_sink design ~net:in_net ~sink_index:k in
+      pin_tap.(pin) <- tap;
+      if design.Design.drivers.(in_net) >= 0 then
+        pin_wire.(pin) <-
+          model.m_wire_delay ~net:in_net
+            ~driver:(cell_of_driver ctx in_net)
+            ~sink:(Some gate.Netlist.cell)
+            ~tree:(Design.loaded_parasitic tech design ~net:in_net)
+            ~tap
+    end
+  in
   List.iter
     (fun out_edge ->
       let best = ref None in
@@ -168,20 +190,10 @@ let eval_gate (ctx : ('d, 'a) ctx) slots gi =
               match slots.(in_net).(edge_index in_edge) with
               | None -> ()
               | Some { arr; _ } ->
-                let driven_by_pi = design.Design.drivers.(in_net) < 0 in
-                let k = ctx.c_sink_index.(gi).(pin) in
-                let tap = Design.tap_of_sink design ~net:in_net ~sink_index:k in
-                let wire_delay =
-                  if driven_by_pi then alg.no_delay
-                  else
-                    model.m_wire_delay ~net:in_net
-                      ~driver:(cell_of_driver ctx in_net)
-                      ~sink:(Some gate.Netlist.cell)
-                      ~tree:(Design.loaded_parasitic tech design ~net:in_net)
-                      ~tap
-                in
+                wire_of_pin pin in_net;
+                let tap = pin_tap.(pin) and wire_delay = pin_wire.(pin) in
                 let pin_slew =
-                  if driven_by_pi then arr.slew
+                  if design.Design.drivers.(in_net) < 0 then arr.slew
                   else
                     model.m_wire_slew_degrade ~wire_delay
                       ~slew_at_root:arr.slew
@@ -230,10 +242,9 @@ let eval_gate (ctx : ('d, 'a) ctx) slots gi =
     [ Provider.Rise; Provider.Fall ]
 
 (* Per-net PO results, each paired with its [key], in the exact order
-   the full pass conses them (Rise pushed first).  Rebuilding the PO
-   list net-by-net and sorting it with [sort_keyed] reproduces
-   [analyze]'s output bitwise: the sort is stable, so equal keys keep
-   this order. *)
+   the full pass conses them (Rise pushed first).  The net's wire delay
+   is the same for both edges: it is computed once, at the first
+   present slot. *)
 let po_results_of (ctx : ('d, 'a) ctx) slots ~net:po =
   let alg = ctx.c_alg and model = ctx.c_model in
   let design = ctx.c_design in
@@ -243,22 +254,22 @@ let po_results_of (ctx : ('d, 'a) ctx) slots ~net:po =
     | Some k -> k
     | None -> 0
   in
-  let driven_by_pi = design.Design.drivers.(po) < 0 in
+  let tap = Design.tap_of_sink design ~net:po ~sink_index:po_sink_index in
+  let wire =
+    lazy
+      (if design.Design.drivers.(po) < 0 then alg.no_delay
+       else
+         model.m_wire_delay ~net:po ~driver:(cell_of_driver ctx po) ~sink:None
+           ~tree:(Design.loaded_parasitic ctx.c_tech design ~net:po)
+           ~tap)
+  in
   let results = ref [] in
   List.iter
     (fun edge ->
       match slots.(po).(edge_index edge) with
       | None -> ()
       | Some { arr; _ } ->
-        let tap = Design.tap_of_sink design ~net:po ~sink_index:po_sink_index in
-        let wire =
-          if driven_by_pi then alg.no_delay
-          else
-            model.m_wire_delay ~net:po ~driver:(cell_of_driver ctx po)
-              ~sink:None
-              ~tree:(Design.loaded_parasitic ctx.c_tech design ~net:po)
-              ~tap
-        in
+        let wire = Lazy.force wire in
         let value = alg.add arr.value wire in
         results :=
           ( alg.key value,
@@ -273,16 +284,160 @@ let po_results_of (ctx : ('d, 'a) ctx) slots ~net:po =
     [ Provider.Rise; Provider.Fall ];
   List.rev !results
 
-(* Worst first.  [List.sort] is the stdlib's stable merge sort, so equal
-   keys keep their input order; the comparator reads only the paired
-   keys, so each result is keyed once rather than on every comparison. *)
-let sort_keyed keyed =
-  List.map snd (List.sort (fun (ka, _) (kb, _) -> Float.compare kb ka) keyed)
+(* --- the worst-first PO ranking ------------------------------------- *)
 
-let pos_of_keyed keyed =
-  let pos = ref [] in
-  Array.iter (List.iter (fun r -> pos := r :: !pos)) keyed;
-  sort_keyed !pos
+(* The ranking's one ordering rule, shared by the cold pass and the
+   incremental update: the higher key first under [Float.compare] (so
+   NaN ranks last and -0 ties +0), ties broken by the higher ordinal
+   [2 * entry + result index] first.  A pass conses the PO results
+   entry by entry, so its list holds the higher ordinals first, and
+   this rule is exactly the stable worst-first sort of that list. *)
+let[@inline] ranks_before ka oa kb ob =
+  let c = Float.compare ka kb in
+  c > 0 || (c = 0 && oa > ob)
+
+let[@inline] ranks_after keys ords i j =
+  ranks_before keys.(j) ords.(j) keys.(i) ords.(i)
+
+let swap_ranks (keys : float array) ords i j =
+  let k = keys.(i) and o = ords.(i) in
+  keys.(i) <- keys.(j);
+  ords.(i) <- ords.(j);
+  keys.(j) <- k;
+  ords.(j) <- o
+
+let rec sift_down keys ords i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && ranks_after keys ords (l + 1) l then l + 1 else l in
+    if ranks_after keys ords c i then begin
+      swap_ranks keys ords i c;
+      sift_down keys ords c n
+    end
+  end
+
+(* Heap sort of the first [n] (key, ordinal) pairs into rank order: no
+   allocation, and no stability needed since ordinals are distinct. *)
+let sort_ranks keys ords n =
+  for i = (n / 2) - 1 downto 0 do
+    sift_down keys ords i n
+  done;
+  for last = n - 1 downto 1 do
+    swap_ranks keys ords 0 last;
+    sift_down keys ords 0 last
+  done
+
+type 'r ranking = {
+  rk_keyed : (float * 'r) list array;  (* entry -> its keyed results *)
+  mutable rk_n : int;
+  rk_keys : float array;  (* rank -> key *)
+  rk_ords : int array;  (* rank -> ordinal *)
+  mutable rk_n_fresh : int;  (* staged results, in rk_fresh_* *)
+  rk_fresh_keys : float array;
+  rk_fresh_ords : int array;
+  rk_staged : Bytes.t;  (* entry -> staged since the last commit *)
+  mutable rk_any_staged : bool;
+}
+
+let check_results keyed =
+  if List.compare_length_with keyed 2 > 0 then
+    invalid_arg "Engine_core.ranking: more than two results per entry"
+
+(* Append an entry's keyed results as (key, ordinal) pairs from [n];
+   returns the new count. *)
+let rec push_keyed keys ords n ~entry idx = function
+  | [] -> n
+  | (key, _) :: rest ->
+    keys.(n) <- key;
+    ords.(n) <- (2 * entry) + idx;
+    push_keyed keys ords (n + 1) ~entry (idx + 1) rest
+
+let ranking_of_keyed keyed =
+  Array.iter check_results keyed;
+  let n_entries = Array.length keyed in
+  let cap = 2 * n_entries in
+  let r =
+    {
+      rk_keyed = Array.copy keyed;
+      rk_n = 0;
+      rk_keys = Array.create_float cap;
+      rk_ords = Array.make cap 0;
+      rk_n_fresh = 0;
+      rk_fresh_keys = Array.create_float cap;
+      rk_fresh_ords = Array.make cap 0;
+      rk_staged = Bytes.make n_entries '\000';
+      rk_any_staged = false;
+    }
+  in
+  let n = ref 0 in
+  Array.iteri
+    (fun entry l -> n := push_keyed r.rk_keys r.rk_ords !n ~entry 0 l)
+    keyed;
+  sort_ranks r.rk_keys r.rk_ords !n;
+  r.rk_n <- !n;
+  r
+
+let ranking_replace r ~entry keyed =
+  check_results keyed;
+  if Bytes.get r.rk_staged entry <> '\000' then
+    invalid_arg "Engine_core.ranking_replace: entry staged twice";
+  Bytes.set r.rk_staged entry '\001';
+  r.rk_any_staged <- true;
+  r.rk_keyed.(entry) <- keyed;
+  r.rk_n_fresh <-
+    push_keyed r.rk_fresh_keys r.rk_fresh_ords r.rk_n_fresh ~entry 0 keyed
+
+(* Drop the staged entries' old ranks (a stable compaction), sort the
+   k staged results alone and merge them in from the back: O(n + k log
+   k) and no allocation. *)
+let ranking_commit r =
+  if r.rk_any_staged then begin
+    let keys = r.rk_keys and ords = r.rk_ords in
+    let m = ref 0 in
+    for i = 0 to r.rk_n - 1 do
+      let o = ords.(i) in
+      if Bytes.unsafe_get r.rk_staged (o lsr 1) = '\000' then begin
+        keys.(!m) <- keys.(i);
+        ords.(!m) <- o;
+        incr m
+      end
+    done;
+    let fkeys = r.rk_fresh_keys and fords = r.rk_fresh_ords in
+    let k = r.rk_n_fresh in
+    sort_ranks fkeys fords k;
+    let i = ref (!m - 1) and j = ref (k - 1) in
+    while !j >= 0 do
+      let w = !i + !j + 1 in
+      if !i >= 0 && ranks_before fkeys.(!j) fords.(!j) keys.(!i) ords.(!i)
+      then begin
+        keys.(w) <- keys.(!i);
+        ords.(w) <- ords.(!i);
+        decr i
+      end
+      else begin
+        keys.(w) <- fkeys.(!j);
+        ords.(w) <- fords.(!j);
+        decr j
+      end
+    done;
+    r.rk_n <- !m + k;
+    Bytes.fill r.rk_staged 0 (Bytes.length r.rk_staged) '\000';
+    r.rk_any_staged <- false;
+    r.rk_n_fresh <- 0
+  end
+
+let ranked_result r ord =
+  match (r.rk_keyed.(ord lsr 1), ord land 1) with
+  | (_, x) :: _, 0 -> x
+  | _ :: (_, y) :: _, _ -> y
+  | _ -> assert false
+
+let ranking_list r =
+  let l = ref [] in
+  for i = r.rk_n - 1 downto 0 do
+    l := ranked_result r r.rk_ords.(i) :: !l
+  done;
+  !l
 
 let analyze_keyed ?(span = "sta.analyze") (ctx : ('d, 'a) ctx) =
   Metrics.span span @@ fun () ->
@@ -291,10 +446,13 @@ let analyze_keyed ?(span = "sta.analyze") (ctx : ('d, 'a) ctx) =
   init_sources ctx slots;
   Array.iter (fun gi -> eval_gate ctx slots gi) ctx.c_order;
   (* Primary-output arrivals through their final wire segment. *)
-  let keyed =
-    Array.map (fun po -> po_results_of ctx slots ~net:po) nl.Netlist.primary_outputs
+  let ranking =
+    ranking_of_keyed
+      (Array.map
+         (fun po -> po_results_of ctx slots ~net:po)
+         nl.Netlist.primary_outputs)
   in
-  ({ design = ctx.c_design; slots; pos = pos_of_keyed keyed }, keyed)
+  ({ design = ctx.c_design; slots; pos = ranking_list ranking }, ranking)
 
 let analyze ?span ?input_slew ?load_model (alg : ('d, 'a) algebra)
     (model : ('d, 'a) model) tech (design : Design.t) : ('d, 'a) report =

@@ -129,33 +129,51 @@ val init_sources : ('d, 'a) ctx -> ('d, 'a) slot option array array -> unit
 
 val eval_gate : ('d, 'a) ctx -> ('d, 'a) slot option array array -> int -> unit
 (** Evaluate one gate from its input slots and write its output net's
-    slots — exactly the per-gate step of the full topological pass. *)
+    slots — exactly the per-gate step of the full topological pass.
+    Each pin's wire delay is asked of the model once, at the pin's
+    first present input slot, and shared by its candidates. *)
 
 val po_results_of :
   ('d, 'a) ctx -> ('d, 'a) slot option array array -> net:int ->
   (float * ('d, 'a) po_result) list
 (** The PO results of one primary-output net, each paired with the
-    algebra's [key] of its [po_value], in the full pass's internal cons
-    order. *)
+    algebra's [key] of its [po_value], Rise first.  The net's wire
+    delay is asked of the model once, at the first present slot. *)
 
-val sort_keyed : (float * 'r) list -> 'r list
-(** Worst-first ordering by the paired keys: the stdlib's [List.sort],
-    which is stable, with [Float.compare kb ka], so equal keys keep
-    their input order.  With each key computed once per result, this is
-    the full pass's exact PO sort. *)
+type 'r ranking
+(** The worst-first ranking of a pass's PO results, kept sorted across
+    updates.  Its one ordering rule: the higher key first under
+    [Float.compare] (NaN last, -0 ties +0), ties broken by the higher
+    (entry, result index) first — exactly the stable worst-first sort
+    of the list a full pass conses entry by entry.  Each entry holds at
+    most two results (one per edge). *)
 
-val pos_of_keyed :
-  (float * ('d, 'a) po_result) list array -> ('d, 'a) po_result list
-(** The [pos] of a pass from {!po_results_of} of each entry of
-    [primary_outputs] (index [i] holds entry [i]'s results): consed in
-    that order, as the full pass does, then {!sort_keyed}.  Bitwise
-    [analyze]'s [pos] when every entry is current. *)
+val ranking_of_keyed : (float * 'r) list array -> 'r ranking
+(** The ranking of each entry's keyed results (index [i] holds entry
+    [i]'s, as {!po_results_of} orders them).
+    @raise Invalid_argument if an entry holds more than two results. *)
+
+val ranking_replace : 'r ranking -> entry:int -> (float * 'r) list -> unit
+(** Stage new keyed results for [entry], replacing its old ones at the
+    next {!ranking_commit}; {!ranking_list} is stale until then.
+    @raise Invalid_argument if [entry] is already staged or the list
+    holds more than two results. *)
+
+val ranking_commit : 'r ranking -> unit
+(** Apply the staged replacements: the staged entries' old ranks are
+    dropped, the k new results sorted alone and merged in from the
+    back.  O(n + k log k), allocation-free; nothing when nothing is
+    staged. *)
+
+val ranking_list : 'r ranking -> 'r list
+(** The results in rank order (n conses). *)
 
 val analyze_keyed :
   ?span:string -> ('d, 'a) ctx ->
-  ('d, 'a) report * (float * ('d, 'a) po_result) list array
-(** One topological pass over a prebuilt ctx, also returning the keyed
-    PO results of each entry of [primary_outputs]. *)
+  ('d, 'a) report * ('d, 'a) po_result ranking
+(** One topological pass over a prebuilt ctx, also returning the
+    ranking its [pos] was read from (one entry per entry of
+    [primary_outputs]). *)
 
 val analyze :
   ?span:string ->

@@ -16,12 +16,15 @@
    the resulting report is bit-for-bit the report a from-scratch
    analysis of the edited design would produce.
 
-   The keyed PO results are retained per primary output as well.  A PO
-   result reads only its net's arrival slots, the net's wire state and
-   the tap of its PO sink: the slots change only when the net's driver
-   is re-evaluated, the wire state and the tap only when the net is
+   The keyed PO results are retained per primary output as well, in a
+   worst-first ranking kept sorted across edits.  A PO result reads
+   only its net's arrival slots, the net's wire state and the tap of
+   its PO sink: the slots change only when the net's driver is
+   re-evaluated, the wire state and the tap only when the net is
    invalidated.  So an edit recomputes the results of just those PO
-   nets, and its PO cost beyond them is one sort of cached float keys.
+   nets and merges them into the ranking: its PO cost beyond them is
+   one O(n) pass over the cached keys (drop the stale ranks, merge the
+   k new ones in from the back) and the n conses of the PO list.
 
    Worklist ordering guarantees single evaluation per gate per edit:
    the heap pops in nondecreasing rank and every push targets a
@@ -109,8 +112,8 @@ type t = {
   rank : int array;  (* gate -> position in ctx.c_order *)
   queued : bool array;  (* gate -> currently in the heap *)
   heap : Int_heap.t;
-  po_keyed : (float * (Ssta.delay, Ssta.dist) Engine_core.po_result) list array;
-      (* primary_outputs entry -> its keyed results *)
+  ranking : (Ssta.delay, Ssta.dist) Engine_core.po_result Engine_core.ranking;
+      (* the keyed results of each primary_outputs entry, worst first *)
   is_po : bool array;  (* net -> listed in primary_outputs *)
   po_dirty : bool array;  (* net -> a PO net whose results are stale *)
   mutable n_po_dirty : int;
@@ -168,7 +171,7 @@ let init ?input_slew ?load_model ?(config = Ssta.default_config) tech
     Engine_core.make_ctx ?input_slew ?load_model (Ssta.algebra config)
       handle.Ssta.h_provider tech design
   in
-  let report, po_keyed =
+  let report, ranking =
     Engine_core.analyze_keyed ~span:"sta.incr.init" ctx
   in
   let nl = design.Design.netlist in
@@ -184,7 +187,7 @@ let init ?input_slew ?load_model ?(config = Ssta.default_config) tech
     rank;
     queued = Array.make n_gates false;
     heap = Int_heap.create ();
-    po_keyed;
+    ranking;
     is_po;
     po_dirty = Array.make nl.Netlist.n_nets false;
     n_po_dirty = 0;
@@ -204,9 +207,9 @@ let mark_po t net =
     t.n_po_dirty <- t.n_po_dirty + 1
   end
 
-(* Recompute the marked PO nets' results and re-sort the PO list; the
-   other entries are still exactly what a full pass would produce.
-   Returns the number of PO results recomputed. *)
+(* Recompute the marked PO nets' results and merge them into the
+   ranking; the other entries are still exactly what a full pass would
+   produce.  Returns the number of PO results recomputed. *)
 let update_pos t =
   Metrics.span "sta.incr.pos" @@ fun () ->
   if t.n_po_dirty = 0 then 0
@@ -219,13 +222,14 @@ let update_pos t =
       (fun entry po ->
         if t.po_dirty.(po) then begin
           let keyed = Engine_core.po_results_of t.ctx t.slots ~net:po in
-          t.po_keyed.(entry) <- keyed;
+          Engine_core.ranking_replace t.ranking ~entry keyed;
           updates := !updates + List.length keyed
         end)
       outputs;
     Array.iter (fun po -> t.po_dirty.(po) <- false) outputs;
     t.n_po_dirty <- 0;
-    t.pos <- Engine_core.pos_of_keyed t.po_keyed;
+    Engine_core.ranking_commit t.ranking;
+    t.pos <- Engine_core.ranking_list t.ranking;
     !updates
   end
 

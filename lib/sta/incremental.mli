@@ -23,10 +23,10 @@
     {b PO results.}  The keyed PO results ({!Engine_core.po_results_of})
     are retained per entry of [primary_outputs].  An edit recomputes
     only those of the PO nets it invalidated or whose driver it
-    re-evaluated (nothing else they read can change), then rebuilds the
-    PO list with {!Engine_core.pos_of_keyed}: an edit costs its cone
-    plus one sort of cached float keys, and nothing when its cone
-    reaches no PO.
+    re-evaluated (nothing else they read can change) and merges them
+    into the retained worst-first {!Engine_core.ranking}: an edit costs
+    its cone plus one O(n) pass over cached keys and the n conses of
+    the PO list, and nothing when its cone reaches no PO.
 
     Instrumented with the [sta.incr.*] counters (edits, invalidated
     nets, dirty gates, cutoff hits, PO results recomputed as

@@ -152,12 +152,14 @@ let clamp_locals ~var_l ~m3_l ~m4_l =
   ( Float.max (-.s3) (Float.min s3 m3_l),
     Float.max (1.5 *. v2) (Float.min (7.0 *. v2) m4_l) )
 
-let to_summary d =
-  let vg = var_g d in
+(* [vg] is [var_g d], for callers that already hold it. *)
+let to_summary_vg vg d =
   Moments.of_central ~n:1 ~mean:d.d_mean
     ~m2:(vg +. d.d_var_l)
     ~m3:(m3_g d +. d.d_m3_l)
     ~m4:(m4_g d +. d.d_m4_l +. (6.0 *. vg *. d.d_var_l))
+
+let to_summary d = to_summary_vg (var_g d) d
 
 (* Generic split of a summary when no sensitivity information exists:
    [global_frac] of the variance becomes a single linear factor (no
@@ -225,12 +227,13 @@ let cov_g (a : dist) (b : dist) =
   done;
   !acc
 
-let rho_of corr (a : dist) (b : dist) =
+(* [vga] and [vgb] are [var_g a] and [var_g b]. *)
+let rho_of corr ~vga ~vgb (a : dist) (b : dist) =
   match corr with
   | Independent -> 0.0
   | Constant r -> r
   | Tracked ->
-    let sa = std a and sb = std b in
+    let sa = sqrt (vga +. a.d_var_l) and sb = sqrt (vgb +. b.d_var_l) in
     if sa *. sb <= 0.0 then 0.0 else cov_g a b /. (sa *. sb)
 
 (* Re-split a max result: the global coefficients follow the Clark
@@ -243,7 +246,7 @@ let rho_of corr (a : dist) (b : dist) =
    over-estimates the next, a positive feedback that runs away over
    deep netlists.  The local remainder absorbs the skew and kurtosis
    the global response does not carry. *)
-let resplit (r : Stat_max.result) (a : dist) (b : dist) =
+let resplit (r : Stat_max.result) ~vga ~vgb (a : dist) (b : dist) =
   let p = r.Stat_max.p_first in
   let q = 1.0 -. p in
   let m2, m3, m4 = Moments.central_of_summary r.Stat_max.dist in
@@ -253,10 +256,10 @@ let resplit (r : Stat_max.result) (a : dist) (b : dist) =
     cb.(i) <- (p *. a.d_b.(i)) +. (q *. b.d_b.(i))
   done;
   let vg = var_g_of ca cb in
-  let share d = let v = variance d in if v > 0.0 then var_g d /. v else 0.0 in
+  let share vg d = let v = vg +. d.d_var_l in if v > 0.0 then vg /. v else 0.0 in
   let vg_target =
     Float.min m2
-      (Float.max vg (((p *. share a) +. (q *. share b)) *. m2))
+      (Float.max vg (((p *. share vga a) +. (q *. share vgb b)) *. m2))
   in
   let scale = if vg > 0.0 && vg_target > 0.0 then sqrt (vg_target /. vg) else 1.0 in
   for i = 0 to ng - 1 do
@@ -283,8 +286,11 @@ let join_dist (cfg : config) (a : dist) (b : dist) =
   (match cfg.op with
   | Stat_max.Clark -> Metrics.incr m_max_clark
   | Stat_max.Moment -> Metrics.incr m_max_moment);
-  let rho = rho_of cfg.corr a b in
-  let sa = to_summary a and sb = to_summary b in
+  (* Each input's global variance, once: the correlation, the summary
+     and the re-split all read it. *)
+  let vga = var_g a and vgb = var_g b in
+  let rho = rho_of cfg.corr ~vga ~vgb a b in
+  let sa = to_summary_vg vga a and sb = to_summary_vg vgb b in
   let r = Stat_max.apply cfg.op ~rho sa sb in
   Metrics.observe h_max_tightness r.Stat_max.p_first;
   (* The Clark-vs-moment disagreement costs a second max evaluation —
@@ -305,7 +311,7 @@ let join_dist (cfg : config) (a : dist) (b : dist) =
     Metrics.observe h_max_delta delta;
     Trace.instant tr_max ~a:r.Stat_max.p_first ~b:delta ~c:rho ()
   end;
-  resplit r a b
+  resplit r ~vga ~vgb a b
 
 (* Criticality ranks by the +3 sigma arrival (Cornish-Fisher, the same
    quantile convention as reporting) — recorded critical predecessors

@@ -797,6 +797,139 @@ let test_po_cache_random () =
     (fun n -> Alcotest.(check bool) "the edit's PO results recomputed" true (n > 0))
     (po_sequence ~make_netlist edits)
 
+(* ---- the retained PO ranking ---- *)
+
+(* The order a full pass gave its PO results before the ranking kept
+   them: every entry's results consed in entry order, then the
+   stdlib's stable [List.sort] worst first on the keys. *)
+let cons_and_sort keyed =
+  let l = ref [] in
+  Array.iter (List.iter (fun r -> l := r :: !l)) keyed;
+  List.map snd (List.sort (fun (ka, _) (kb, _) -> Float.compare kb ka) !l)
+
+let rank_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ Float.nan; 0.0; -0.0; infinity; neg_infinity; 1.0; -2.5 ]);
+        (1, float_range (-10.0) 10.0);
+      ])
+
+let rank_keys_gen = QCheck.Gen.(int_range 0 2 >>= fun n -> list_repeat n rank_key_gen)
+
+(* Entries map onto fewer nets, so PO entries repeat and re-key
+   together, as a net listed twice in [primary_outputs] does.  Net 0
+   is entry 0's; its result count is driven 2 -> 1 -> 0 -> 2 by the
+   first three updates, whatever else they re-key. *)
+let ranking_case =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 10 >>= fun n_nets ->
+      array_size (int_range 1 24) (int_bound (n_nets - 1)) >>= fun nets ->
+      array_repeat n_nets rank_keys_gen >>= fun init ->
+      pair rank_key_gen rank_key_gen >>= fun forced ->
+      list_size (int_range 3 10)
+        (list_size (int_range 0 4) (pair (int_bound (n_nets - 1)) rank_keys_gen))
+      >>= fun steps -> return (nets, init, forced, steps))
+  in
+  QCheck.make gen
+    ~print:
+      QCheck.Print.(
+        quad (array int) (array (list float)) (pair float float)
+          (list (list (pair int (list float)))))
+
+let prop_ranking_updates =
+  QCheck.Test.make ~count:500
+    ~name:"PO ranking after random updates = cons and stable sort"
+    ranking_case (fun (nets, init, (k1, k2), steps) ->
+      let nets = Array.copy nets in
+      nets.(0) <- 0;
+      let net_keys = Array.copy init in
+      net_keys.(0) <- [ k1; k2 ];
+      (* A result names its entry, its index and the update that made
+         it, so a stale or misplaced result cannot compare equal. *)
+      let keyed_of version entry =
+        List.mapi (fun idx k -> (k, (entry, idx, version))) net_keys.(nets.(entry))
+      in
+      let current = Array.init (Array.length nets) (keyed_of 0) in
+      let ranking = Engine_core.ranking_of_keyed current in
+      let agrees () = Engine_core.ranking_list ranking = cons_and_sort current in
+      let forced = [ [ k1 ]; []; [ k1; k2 ] ] in
+      agrees ()
+      && List.for_all
+           (fun (version, step) ->
+             let step =
+               match List.nth_opt forced (version - 1) with
+               | Some keys -> step @ [ (0, keys) ]
+               | None -> step
+             in
+             List.iter (fun (net, keys) -> net_keys.(net) <- keys) step;
+             Array.iteri
+               (fun entry net ->
+                 if List.mem_assoc net step then begin
+                   current.(entry) <- keyed_of version entry;
+                   Engine_core.ranking_replace ranking ~entry current.(entry)
+                 end)
+               nets;
+             Engine_core.ranking_commit ranking;
+             agrees ())
+           (List.mapi (fun i step -> (i + 1, step)) steps))
+
+let test_ranking_rejects () =
+  let r = Engine_core.ranking_of_keyed [| [ (1.0, ()) ]; [] |] in
+  Engine_core.ranking_replace r ~entry:1 [ (2.0, ()) ];
+  Alcotest.check_raises "staged twice"
+    (Invalid_argument "Engine_core.ranking_replace: entry staged twice")
+    (fun () -> Engine_core.ranking_replace r ~entry:1 []);
+  Alcotest.check_raises "three results"
+    (Invalid_argument "Engine_core.ranking: more than two results per entry")
+    (fun () ->
+      ignore
+        (Engine_core.ranking_of_keyed [| [ (1.0, ()); (2.0, ()); (3.0, ()) ] |]))
+
+(* An ECO edit re-keys a PO net or two out of c5315's 847 entries: the
+   update allocates nothing, the PO list its n conses, and neither
+   ever allocates on the major heap. *)
+let test_ranking_allocation () =
+  let n_entries = 847 in
+  let key e idx = float_of_int (((e * 7919) + (idx * 104729)) mod 500) in
+  let keyed =
+    Array.init n_entries (fun e -> [ (key e 0, e); (key e 1, e) ])
+  in
+  let r = Engine_core.ranking_of_keyed keyed in
+  let n = 2 * n_entries and rounds = 200 in
+  let fresh =
+    Array.init rounds (fun i -> [ (float_of_int (i mod 7) *. 70.0, -i); (3.0, -i) ])
+  in
+  (* OCaml 5 folds a domain's major allocations into the counters at a
+     collection: read them after one. *)
+  let direct_major () =
+    Gc.minor ();
+    let st = Gc.quick_stat () in
+    st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let update_words = ref 0.0 and list_words = ref 0.0 in
+  let major0 = direct_major () in
+  for i = 0 to rounds - 1 do
+    let w0 = Gc.minor_words () in
+    Engine_core.ranking_replace r ~entry:((i * 389) mod n_entries) fresh.(i);
+    Engine_core.ranking_commit r;
+    let w1 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Engine_core.ranking_list r));
+    let w2 = Gc.minor_words () in
+    update_words := !update_words +. (w1 -. w0);
+    list_words := !list_words +. (w2 -. w1)
+  done;
+  let major = direct_major () -. major0 in
+  let update = !update_words /. float_of_int rounds
+  and list = !list_words /. float_of_int rounds in
+  if update > 0.01 then
+    Alcotest.failf "update: %.2f minor words per edit, want 0" update;
+  if Float.abs (list -. float_of_int (3 * n)) > 0.01 then
+    Alcotest.failf "list: %.2f minor words per edit, want %d" list (3 * n);
+  if major > 0.0 then
+    Alcotest.failf "%.0f words allocated directly on the major heap" major
+
 let () =
   Alcotest.run "nsigma_incremental"
     [
@@ -822,6 +955,14 @@ let () =
             `Quick test_po_cache_edits;
           Alcotest.test_case "PO cache: every PO of a random circuit" `Quick
             test_po_cache_random;
+        ] );
+      ( "po ranking",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_ranking_updates;
+          Alcotest.test_case "rejects a second stage and a third result"
+            `Quick test_ranking_rejects;
+          Alcotest.test_case "an update allocates only the PO list" `Slow
+            test_ranking_allocation;
         ] );
       ( "store",
         [

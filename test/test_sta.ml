@@ -146,41 +146,6 @@ let test_loads_sum_sink_caps () =
     then Alcotest.failf "net %d: effective load differs from the fold" net
   done
 
-(* Keys drawn to collide: repeats, NaN, both zeros and both infinities,
-   beside ordinary values. *)
-let keys_arb =
-  let special = [ Float.nan; 0.0; -0.0; infinity; neg_infinity; 1.0; -2.5 ] in
-  QCheck.make
-    ~print:QCheck.Print.(list float)
-    QCheck.Gen.(
-      list_size (int_range 0 60)
-        (frequency [ (3, oneofl special); (1, float_range (-10.0) 10.0) ]))
-
-(* [sort_keyed] reads keys computed once per result; it must order them
-   as [List.sort] does when it keys both sides of every comparison, and
-   ties (NaN with NaN, -0 with +0, repeats) keep their input order: the
-   stability the PO list's bit-identity rests on. *)
-let prop_sort_keyed =
-  QCheck.Test.make ~count:500 ~name:"sort_keyed = List.sort on the key comparator"
-    keys_arb (fun keys ->
-      let items = List.mapi (fun id k -> (id, k)) keys in
-      let key (_, k) = k in
-      let ids = List.map fst in
-      let ours =
-        Engine_core.sort_keyed (List.map (fun it -> (key it, it)) items)
-      in
-      let theirs =
-        List.sort (fun a b -> Float.compare (key b) (key a)) items
-      in
-      let rec stable = function
-        | (i, ka) :: ((j, kb) :: _ as rest) ->
-          Float.compare kb ka <= 0
-          && (Float.compare ka kb <> 0 || i < j)
-          && stable rest
-        | _ -> true
-      in
-      ids ours = ids theirs && stable ours)
-
 let test_real_provider_on_benchmark () =
   (* Run the nominal provider end-to-end on a small real circuit. *)
   let cells =
@@ -258,7 +223,6 @@ let () =
           Alcotest.test_case "loads sum the sink caps (bitwise)" `Quick
             test_loads_sum_sink_caps;
         ] );
-      ("engine core", [ QCheck_alcotest.to_alcotest ~long:false prop_sort_keyed ]);
       ( "end-to-end",
         [
           Alcotest.test_case "benchmark STA" `Slow test_real_provider_on_benchmark;
